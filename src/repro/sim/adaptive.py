@@ -433,7 +433,7 @@ class AdaptiveWaitsSimulator:
             else:
                 self.ledger.record_exits(self._times[outputs], now, ids=outputs)
                 self._in_flight -= consumed
-                if self._watchdog is not None:
+                if self._watchdog is not None and outputs.size:
                     slack = (
                         float(self._times[outputs].min())
                         + self.deadline

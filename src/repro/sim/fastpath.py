@@ -24,10 +24,25 @@ remaining **bit-identical** to the event loop (and therefore to
   it, and ledgers/trackers are fed with batch methods documented (and
   tested) to reproduce the sequential float accumulation.
 
+Bounded queues are the general case.  A node's pushes are the head
+drains at its firing times, or the upstream's consuming completions;
+the pass first probes the unbounded depth at every push.  A queue that
+never exceeds its capacity keeps the closed form.  One that overflows
+gets an exact scalar scan over its push/pop timeline (pushes at ``t``
+land before a firing at ``t``), which counts the tokens each push sheds
+and asks the queue's own :class:`~repro.resilience.shedding.ShedPolicy`
+— through a scratch :class:`~repro.dataflow.queues.ItemQueue` built like
+the simulator's — which tokens go.  Shedding keeps FIFO order, so the
+node then consumes the surviving stream exactly like an unbounded one.
+Arrival bursts are admitted too: the simulator remaps the arrival times
+before this pass runs, and without spikes or stalls the schedule stays
+oblivious.
+
 :func:`run_enforced_fast` returns ``None`` whenever the run is not
-eligible (GPS timing, telemetry, tracing, faults, watchdog, bounded
-queues, a ``python`` backend override) or would exceed the event budget
-— the caller then takes the ordinary event path, which raises or records
+eligible (GPS timing, telemetry, tracing, service spikes, stalls, the
+watchdog, a ``python`` backend override), would overflow a queue whose
+``on_overflow`` is ``"raise"``, or would exceed the event budget — the
+caller then takes the ordinary event path, which raises or records
 exactly what it always did.
 """
 
@@ -38,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dataflow.queues import ItemQueue
 from repro.des.hotloop import consumed_scan, firing_schedule
 from repro.des.rng import RngRegistry
 from repro.simd.backend import get_backend
@@ -56,9 +72,10 @@ def _eligible(sim, times: np.ndarray) -> bool:
         return False
     if sim.trace is not None or sim.collector is not None:
         return False
-    if sim._faults is not None or sim._watchdog is not None:
+    if sim._watchdog is not None:
         return False
-    if any(q.capacity is not None for q in sim.queues):
+    faults = sim._faults
+    if faults is not None and (faults.service_spikes or faults.stalls):
         return False
     # Strictly positive service keeps every consuming firing strictly
     # before the shutdown completion; finite periods keep the grids
@@ -77,16 +94,13 @@ class _NodePass:
 
     fires: np.ndarray
     comps: np.ndarray
-    avail: np.ndarray  # A_k: inputs ever available by firing k
-    cum: np.ndarray  # C_k: cumulative items consumed
-    per_fire: np.ndarray  # c_k = C_k - C_{k-1}
-    consuming: np.ndarray  # c_k > 0
-    total: int  # total inputs (all eventually consumed)
-    fire_of_item: np.ndarray  # consuming firing index per input item
-    in_ids: np.ndarray  # input item ids in FIFO order
-    draws: np.ndarray  # gain draw per input item
-    out_ids: np.ndarray  # np.repeat(in_ids, draws)
-    out_avail: np.ndarray  # completion time per output
+    per_fire: np.ndarray  # items consumed per firing
+    n_consuming: int  # firings that consume something
+    pushed: int  # tokens offered to the node's queue
+    total: int  # tokens consumed (pushed minus shed)
+    last_done: float  # completion of the last consuming firing
+    shed: np.ndarray  # tokens shed from the node's queue
+    hwm: int  # queue high-water mark in items
     n_counted: int = field(default=0)  # firings strictly before shutdown
 
 
@@ -119,13 +133,90 @@ def _extend_schedule(nd: _NodePass, off, t, w, tau_end):
     return True
 
 
+def _head_pushes(fires, avail):
+    """Head-queue pushes: the arrival drains at the head's firings, as
+    (times, cumulative tokens pushed)."""
+    drains = np.flatnonzero(np.diff(avail, prepend=np.int64(0)))
+    return fires[drains], avail[drains]
+
+
+def _push_depths(fires, cum, push_t, pushed_cum):
+    """Firings that pop before each push, and the queue depth right
+    after it.
+
+    A push at time ``t`` lands before a firing at ``t`` (a head drain
+    precedes the head pop), so only firings strictly before ``t`` have
+    popped; firings past the end of ``cum`` pop nothing more.
+    """
+    push_idx = np.searchsorted(fires, push_t, side="left")
+    popped_cum = np.concatenate(([np.int64(0)], cum))
+    return push_idx, pushed_cum - popped_cum[np.minimum(push_idx, cum.size)]
+
+
+def _shed_scan(q, v, push_t, push_idx, pushed_cum, stream, n_fires):
+    """Replay an overflowing bounded queue exactly.
+
+    ``push_idx[j]`` firings pop before push ``j`` lands, and the push
+    carries ``stream[pushed_cum[j-1]:pushed_cum[j]]``.  Returns the
+    tokens' availability count at each firing once shedding is applied,
+    the surviving tokens in FIFO order, and the shed tokens.
+    """
+    cap = q.capacity
+    shed_n = []  # tokens shed by each push
+    overflows = []  # (push, queue length just before it)
+    length = 0
+    k_prev = 0
+    start = 0
+    for k, end in zip(push_idx.tolist(), pushed_cum.tolist()):
+        # The k - k_prev firings since the previous push pop v each.
+        length = max(0, length - (k - k_prev) * v)
+        k_prev = k
+        new = length + end - start
+        start = end
+        if new > cap:
+            overflows.append((len(shed_n), length))
+            shed_n.append(new - cap)
+            length = cap
+        else:
+            shed_n.append(0)
+            length = new
+    kept_cum = pushed_cum - np.cumsum(shed_n)
+    avail = np.concatenate(([np.int64(0)], kept_cum))[
+        np.searchsorted(push_idx, np.arange(n_fires), side="right")
+    ]
+
+    # Which tokens go is the policy's call: offer it the queued tokens
+    # (the newest survivors so far) plus the incoming batch.
+    scratch = ItemQueue(
+        q.name, capacity=cap, dtype=q.dtype, on_overflow=q.on_overflow
+    )
+    survivors = np.empty_like(stream)
+    shed = []
+    w = 0  # survivors written
+    pos = 0  # stream tokens consumed into survivors
+    for j, held in overflows:
+        lo = int(pushed_cum[j - 1]) if j else 0
+        hi = int(pushed_cum[j])
+        survivors[w : w + lo - pos] = stream[pos:lo]
+        w += lo - pos
+        pos = hi
+        w -= held
+        scratch.push_many(survivors[w : w + held])
+        shed.append(scratch.push_many(stream[lo:hi], now=float(push_t[j])))
+        survivors[w : w + cap] = scratch.pop_up_to(cap)
+        w += cap
+    rest = stream.size - pos
+    survivors[w : w + rest] = stream[pos:]
+    return avail, survivors[: w + rest], np.concatenate(shed)
+
+
 def run_enforced_fast(sim, times: np.ndarray):
     """Run ``sim`` without its event loop; see the module docstring.
 
-    On success, mutates ``sim``'s trackers, ledger, active-time and
-    last-activity state exactly as the event loop would have, and
-    returns the per-queue high-water marks in items.  Returns ``None``
-    (with ``sim`` untouched) when ineligible.
+    On success, mutates ``sim``'s trackers, ledger, queue counters,
+    shed counts, active-time and last-activity state exactly as the
+    event loop would have, and returns the per-queue high-water marks
+    in items.  Returns ``None`` (with ``sim`` untouched) when ineligible.
     """
     if not _eligible(sim, times):
         return None
@@ -147,13 +238,31 @@ def run_enforced_fast(sim, times: np.ndarray):
         t = sim._service_f[i]
         w = sim._waits_f[i]
         off = float(sim.start_offsets[i])
-        total = int(avail_times.size)
-        t_last = float(avail_times[-1]) if total else off
-        k_hint = (t_last - off) / (t + w) + total / v + 16
+        pushed = int(avail_times.size)
+        t_last = float(avail_times[-1]) if pushed else off
+        k_hint = (t_last - off) / (t + w) + pushed / v + 16
         sched = _node_schedule(off, t, w, avail_times, v, k_hint)
         if sched is None:
             return None
         fires, comps, avail, cum = sched
+        if i == 0:
+            push_t, pushed_cum = _head_pushes(fires, avail)
+        else:
+            push_t, pushed_cum = pushes
+        push_idx, depths = _push_depths(fires, cum, push_t, pushed_cum)
+        hwm = max(0, int(depths.max())) if depths.size else 0
+
+        q = sim.queues[i]
+        shed = empty_i64
+        if q.capacity is not None and hwm > q.capacity:
+            if q.on_overflow == "raise":
+                return None  # the event path raises the same error
+            avail, in_ids, shed = _shed_scan(
+                q, v, push_t, push_idx, pushed_cum, in_ids, fires.size
+            )
+            cum = consumed_scan(avail, v)
+            hwm = q.capacity
+        total = int(in_ids.size)
         per_fire = np.diff(cum, prepend=np.int64(0))
         consuming = per_fire > 0
         if total:
@@ -172,28 +281,29 @@ def run_enforced_fast(sim, times: np.ndarray):
                 for ck in per_fire[consuming].tolist():
                     draws[pos : pos + ck] = gain.sample(rng, ck)
                     pos += ck
-            item_done = comps[fire_of_item]
             out_ids = np.repeat(in_ids, draws)
-            out_avail = np.repeat(item_done, draws)
+            out_avail = np.repeat(comps[fire_of_item], draws)
+            # Downstream pushes: (time, cumulative tokens) at each
+            # completion that produces something.
+            out_cum = np.concatenate(([np.int64(0)], np.cumsum(draws)))
+            produced_cum = out_cum[cum[consuming]]
+            producing = np.diff(produced_cum, prepend=np.int64(0)) > 0
+            pushes = (comps[consuming][producing], produced_cum[producing])
         else:
-            fire_of_item = empty_i64
-            draws = empty_i64
             out_ids = empty_i64
             out_avail = empty_f64
+            pushes = (empty_f64, empty_i64)
         nodes.append(
             _NodePass(
                 fires=fires,
                 comps=comps,
-                avail=avail,
-                cum=cum,
                 per_fire=per_fire,
-                consuming=consuming,
+                n_consuming=int(np.count_nonzero(consuming)),
+                pushed=pushed,
                 total=total,
-                fire_of_item=fire_of_item,
-                in_ids=in_ids,
-                draws=draws,
-                out_ids=out_ids,
-                out_avail=out_avail,
+                last_done=float(comps[fire_of_item[-1]]) if total else 0.0,
+                shed=shed,
+                hwm=hwm,
             )
         )
         avail_times = out_avail
@@ -201,10 +311,9 @@ def run_enforced_fast(sim, times: np.ndarray):
 
     # Shutdown: in-flight hits zero at the last consuming completion
     # anywhere in the pipeline (items are in flight until they exit or
-    # their gain draws to zero — both happen at completions).
-    tau_end = max(
-        float(nd.comps[nd.fire_of_item[-1]]) for nd in nodes if nd.total
-    )
+    # their gain draws to zero — both happen at completions; a shed
+    # leaves ``capacity >= 1`` tokens queued, so never at a shed).
+    tau_end = max(nd.last_done for nd in nodes if nd.total)
 
     # Count executed firings (strictly before tau_end: at equal times
     # the shutdown-setting completion outranks firing events) and check
@@ -219,7 +328,7 @@ def run_enforced_fast(sim, times: np.ndarray):
         nd.n_counted = int(np.searchsorted(nd.fires, tau_end, side="left"))
         # fire events (incl. one post-shutdown no-op per node) plus one
         # completion event per consuming firing (empty ones are elided).
-        n_events += nd.n_counted + 1 + int(np.count_nonzero(nd.consuming))
+        n_events += nd.n_counted + 1 + nd.n_consuming
     if n_events > sim.max_events:
         return None
 
@@ -229,7 +338,7 @@ def run_enforced_fast(sim, times: np.ndarray):
         n_c = nd.n_counted
         if n_c == 0:
             continue
-        k_a = nd.cum.size
+        k_a = nd.per_fire.size
         per_fire_full = np.zeros(n_c, dtype=np.int64)
         m = min(n_c, k_a)
         per_fire_full[:m] = nd.per_fire[:m]
@@ -244,53 +353,28 @@ def run_enforced_fast(sim, times: np.ndarray):
         last_activity = max(last_activity, float(comps_c[-1]))
     sim._last_activity = last_activity
 
-    tail = nodes[-1]
-    if tail.out_ids.size:
-        sim.ledger.record_exit_stream(
-            times[tail.out_ids], tail.out_avail, ids=tail.out_ids
-        )
-
-    # Queue high-water marks (in items).  Depths are probed exactly at
-    # the event loop's push points: head pushes happen at firing-time
-    # drains (before the pop), interior pushes at upstream consuming
-    # completions (pops at the same timestamp run after the push).
-    hwm = np.zeros(n, dtype=np.float64)
-    head = nodes[0]
-    m = min(head.n_counted, head.cum.size)
-    if m:
-        popped_before = np.concatenate(([np.int64(0)], head.cum))[:m]
-        hwm[0] = max(0, int((head.avail[:m] - popped_before).max()))
-    for i in range(1, n):
-        up = nodes[i - 1]
-        nd = nodes[i]
-        if up.total == 0 or not up.consuming.any():
-            continue
-        k_up = up.cum.size
-        produced = np.bincount(
-            up.fire_of_item, weights=up.draws, minlength=k_up
-        ).astype(np.int64)
-        push_times = up.comps[:k_up][up.consuming]
-        pushed_cum = np.cumsum(produced[up.consuming])
-        pops_idx = np.searchsorted(nd.fires, push_times, side="left")
-        pad = max(0, nd.n_counted - nd.cum.size)
-        popped_cum = np.concatenate(
-            ([np.int64(0)], nd.cum, np.full(pad, nd.total, dtype=np.int64))
-        )
-        depths = pushed_cum - popped_cum[pops_idx]
-        hwm[i] = max(0, int(depths.max()))
+    # After the loop the stream is the tail's outputs, in exit order.
+    if in_ids.size:
+        sim.ledger.record_exit_stream(times[in_ids], avail_times, ids=in_ids)
+    # The ledger's drop accounting is order-insensitive (key sets and a
+    # count), so one call stands in for the event loop's per-shed calls.
+    sim.ledger.record_drops(ids=np.concatenate([nd.shed for nd in nodes]))
 
     # The event loop leaves its occupancy statistics on the queue
     # objects, and callers read them there directly (e.g. the capacity
     # calibration in experiments/overload.py probes ``q.max_depth``
-    # after an unbounded run).  Mirror them: every item offered to a
-    # queue is eventually popped (the run drains), so pushed == popped
-    # == the node's input total and the queues end empty.
+    # after an unbounded run).  Mirror them: the run drains, so every
+    # token offered to a queue was popped or shed and the queues end
+    # empty; a shed pins the high-water mark to the capacity.
+    hwm = np.zeros(n, dtype=np.float64)
     for i, (q, nd) in enumerate(zip(sim.queues, nodes)):
-        q._pushed += nd.total
+        q._pushed += nd.pushed
         q._popped += nd.total
-        depth = int(hwm[i])
-        if depth > q._max_depth:
-            q._max_depth = depth
+        q._shed += nd.shed.size
+        sim._shed_counts[i] += nd.shed.size
+        if nd.hwm > q._max_depth:
+            q._max_depth = nd.hwm
+        hwm[i] = nd.hwm
 
     # Terminal bookkeeping the event loop would have left behind.
     sim._cursor = sim.n_items
@@ -511,33 +595,24 @@ def run_dag_fast(sim, times: np.ndarray):
     # points: head pushes at firing-time drains, interior pushes at
     # upstream consuming completions (merged across in-edges).
     hwm = np.zeros(n, dtype=np.float64)
-    head = nodes[0]
-    m = min(head.n_counted, head.cum.size)
-    if m:
-        popped_before = np.concatenate(([np.int64(0)], head.cum))[:m]
-        hwm[0] = max(0, int((head.avail[:m] - popped_before).max()))
-    for i in range(1, n):
-        parts = queue_pushes[i]
-        if not parts:
-            continue
-        if len(parts) == 1:
-            push_t, push_c = parts[0]
+    for i, nd in enumerate(nodes):
+        if i == 0:
+            push_t, pushed_cum = _head_pushes(nd.fires, nd.avail)
         else:
-            pt = np.concatenate([p[0] for p in parts])
-            pc = np.concatenate([p[1] for p in parts])
-            order = np.argsort(pt, kind="stable")
-            push_t, push_c = pt[order], pc[order]
-        if not push_t.size:
-            continue
-        nd = nodes[i]
-        pushed_cum = np.cumsum(push_c)
-        pops_idx = np.searchsorted(nd.fires, push_t, side="left")
-        pad = max(0, nd.n_counted - nd.cum.size)
-        popped_cum = np.concatenate(
-            ([np.int64(0)], nd.cum, np.full(pad, nd.total, dtype=np.int64))
-        )
-        depths = pushed_cum - popped_cum[pops_idx]
-        hwm[i] = max(0, int(depths.max()))
+            parts = queue_pushes[i]
+            if not parts:
+                continue
+            if len(parts) == 1:
+                push_t, push_c = parts[0]
+            else:
+                pt = np.concatenate([p[0] for p in parts])
+                pc = np.concatenate([p[1] for p in parts])
+                order = np.argsort(pt, kind="stable")
+                push_t, push_c = pt[order], pc[order]
+            pushed_cum = np.cumsum(push_c)
+        if push_t.size:
+            _, depths = _push_depths(nd.fires, nd.cum, push_t, pushed_cum)
+            hwm[i] = max(0, int(depths.max()))
 
     for i, (q, nd) in enumerate(zip(sim.queues, nodes)):
         q._pushed += nd.total

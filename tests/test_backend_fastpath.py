@@ -30,7 +30,7 @@ from repro.dataflow.gains import (
 )
 from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.des.hotloop import consumed_scan, firing_schedule, ragged_gather
-from repro.errors import SpecError
+from repro.errors import SimulationError, SpecError
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.simd.backend import (
     available_backends,
@@ -316,10 +316,17 @@ class TestFastPathAuthenticity:
         w2=st.floats(0.0, 5.0, allow_nan=False),
         seed=st.integers(0, 2**16),
         n_items=st.integers(1, 250),
+        capacity=st.none() | st.integers(1, 40),
+        policy=st.sampled_from(
+            (None, "drop-newest", "drop-oldest", "deadline-aware")
+        ),
     )
     @settings(max_examples=25, deadline=None)
-    def test_backend_equivalence_property(self, w0, w1, w2, seed, n_items):
-        """vector ≡ python on randomized waits/seed/size — bit-identical."""
+    def test_backend_equivalence_property(
+        self, w0, w1, w2, seed, n_items, capacity, policy
+    ):
+        """vector ≡ python on randomized waits/seed/size and queue
+        bound/shed policy — bit-identical, or the same overflow error."""
         waits = np.asarray([w0, w1, w2])
         kw = dict(
             arrivals=PoissonArrivals(1.4),
@@ -327,8 +334,26 @@ class TestFastPathAuthenticity:
             n_items=n_items,
             seed=seed,
         )
-        with use_backend("vector"):
-            fast = EnforcedWaitsSimulator(_pipeline(), waits, **kw).run()
-        with use_backend("python"):
-            slow = EnforcedWaitsSimulator(_pipeline(), waits, **kw).run()
+        if capacity is not None:
+            kw.update(queue_capacity=capacity, shed_policy=policy)
+        runs = []
+        for backend in ("vector", "python"):
+            with use_backend(backend):
+                sim = EnforcedWaitsSimulator(_pipeline(), waits, **kw)
+                try:
+                    runs.append((sim, sim.run()))
+                except SimulationError as err:
+                    runs.append((sim, str(err)))
+        (fast_sim, fast), (slow_sim, slow) = runs
+        if isinstance(slow, str):
+            assert fast == slow
+            return
+        assert fast_sim.engine.events_processed == 0
         _assert_same_metrics(fast, slow)
+        for qf, qs in zip(fast_sim.queues, slow_sim.queues):
+            assert qf.max_depth == qs.max_depth
+            assert qf.total_pushed == qs.total_pushed
+            assert qf.total_popped == qs.total_popped
+            assert qf.total_shed == qs.total_shed
+        assert fast_sim.ledger.dropped_outputs == slow_sim.ledger.dropped_outputs
+        assert fast_sim.ledger.dropped_items == slow_sim.ledger.dropped_items

@@ -255,3 +255,70 @@ class TestRepr:
         assert "degraded" in repr(wd)
         wd.observe_exit(6.0, slack=9.0, backlog=0)
         assert "nominal" in repr(wd)
+
+
+class TestSimulatorsWithWatchdog:
+    """The R1 overload recipe with a watchdog attached runs to the end.
+
+    On the synthetic app's v=8 model some tail firings consume items
+    whose gains all draw zero; the watchdog must skip those empty exits
+    rather than take a minimum over no outputs.
+    """
+
+    N_ITEMS = 1000
+
+    @pytest.fixture(scope="class")
+    def recipe(self):
+        from repro.arrivals.fixed import FixedRateArrivals
+        from repro.planning.cache import PlanCache
+        from repro.runtime.kernels import build_workload, plan_runtime
+        from repro.sim.enforced import EnforcedWaitsSimulator
+
+        workload = build_workload("synthetic", seed=0)
+        for kernel in workload.kernels:
+            kernel.nominal_service = 0.001
+        plan = plan_runtime(workload, vector_width=8, utilization=0.7,
+                            cache=PlanCache(), seed=0)
+        tau0 = plan.problem.tau0
+        baseline = EnforcedWaitsSimulator(
+            plan.pipeline, plan.waits, FixedRateArrivals(tau0),
+            plan.problem.deadline, self.N_ITEMS,
+        )
+        baseline.run()
+        hwm = max(q.max_depth for q in baseline.queues)
+        return plan, max(8, math.ceil(1.25 * hwm))
+
+    @pytest.mark.parametrize("simulator", ["enforced", "adaptive"])
+    @pytest.mark.parametrize(
+        "policy", ["drop-newest", "drop-oldest", "deadline-aware"]
+    )
+    def test_r1_burst_runs_to_completion(self, recipe, simulator, policy):
+        from repro.arrivals.fixed import FixedRateArrivals
+        from repro.resilience import ArrivalBurst, RuntimeFaultPlan
+        from repro.sim.adaptive import AdaptiveWaitsSimulator
+        from repro.sim.enforced import EnforcedWaitsSimulator
+
+        plan, capacity = recipe
+        tau0, deadline = plan.problem.tau0, plan.problem.deadline
+        span = self.N_ITEMS * tau0
+        cls = {"enforced": EnforcedWaitsSimulator,
+               "adaptive": AdaptiveWaitsSimulator}[simulator]
+        sim = cls(
+            plan.pipeline, plan.waits, FixedRateArrivals(tau0), deadline,
+            self.N_ITEMS,
+            runtime_faults=RuntimeFaultPlan(
+                bursts=(ArrivalBurst(0.25 * span, 0.55 * span, 3.0),)
+            ),
+            queue_capacity=capacity,
+            shed_policy=policy,
+            watchdog=DeadlineWatchdog(deadline, sustain_time=0.05 * deadline),
+        )
+        metrics = sim.run()
+        # Watchdog runs stay on the event loop.
+        assert sim.engine.events_processed > 0
+        res = metrics.extra["resilience"]
+        assert res["shed_total"] > 0
+        assert res["shed_total"] == sum(q.total_shed for q in sim.queues)
+        for q in sim.queues:
+            assert len(q) == 0
+            assert q.total_pushed == q.total_popped + q.total_shed

@@ -27,6 +27,7 @@ from repro.dataflow.gains import (
     DeterministicGain,
 )
 from repro.dataflow.spec import NodeSpec, PipelineSpec
+from repro.resilience import RuntimeFaultPlan
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
@@ -195,8 +196,10 @@ def test_enforced_disabled_resilience_kwargs_equivalent():
     """Resilience kwargs in their disabled states must stay bit-identical.
 
     An empty fault plan, no watchdog, and an unreachable queue bound all
-    normalize to the plain fast path; the reference simulator has no such
+    normalize to the plain simulator; the reference simulator has no such
     kwargs at all, so any residual behavioural coupling shows up here.
+    Telemetry is on, so this pins the event loop; the telemetry-off
+    variants below pin the fast path.
     """
     from repro.resilience import RuntimeFaultPlan
 
@@ -220,6 +223,37 @@ def test_enforced_disabled_resilience_kwargs_equivalent():
         s1 = EnforcedWaitsSimulator(_pipeline(), waits, **kw, **resilience_kw)
         s2 = ReferenceEnforcedSimulator(_pipeline(), waits, **kw)
         _assert_bitwise_equal(s1, s2, s1.run(), s2.run())
+
+
+@pytest.mark.parametrize(
+    "resilience_kw",
+    [
+        dict(runtime_faults=RuntimeFaultPlan(), watchdog=None),
+        dict(queue_capacity=10**6),
+        dict(queue_capacity=10**6, shed_policy="drop-newest"),
+        dict(queue_capacity=10**6, shed_policy="drop-oldest"),
+        dict(queue_capacity=10**6, shed_policy="deadline-aware"),
+    ],
+    ids=["no-faults", "raise", "drop-newest", "drop-oldest", "deadline-aware"],
+)
+def test_enforced_disabled_resilience_kwargs_take_the_fast_path(resilience_kw):
+    """Without telemetry the disabled resilience kwargs above really do
+    run the closed-form fast path, and it still matches the reference."""
+    from repro.simd.backend import use_backend
+
+    waits = np.asarray([3.0, 2.0, 1.5])
+    kw = dict(
+        arrivals=PoissonArrivals(1.4),
+        deadline=40.0,
+        n_items=1500,
+        seed=2,
+    )
+    with use_backend("vector"):
+        s1 = EnforcedWaitsSimulator(_pipeline(), waits, **kw, **resilience_kw)
+        m1 = s1.run()
+    assert s1.engine.events_processed == 0
+    s2 = ReferenceEnforcedSimulator(_pipeline(), waits, **kw)
+    _assert_bitwise_equal(s1, s2, m1, s2.run())
 
 
 def test_adaptive_disabled_resilience_kwargs_equivalent():
