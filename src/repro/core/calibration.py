@@ -21,6 +21,7 @@ is bumped by one.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,10 @@ from repro.core.model import RealTimeProblem
 from repro.core.monolithic import MonolithicProblem
 from repro.dataflow.spec import PipelineSpec
 from repro.errors import CalibrationError, SpecError
+from repro.sim.campaign import _run_shards
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import TrialsResult, run_trials
+from repro.sim.runner import TrialOutcome, TrialsResult, run_trials
 
 __all__ = [
     "CalibrationResult",
@@ -67,51 +69,96 @@ class CalibrationResult:
         return len(self.rounds)
 
 
-def _enforced_point_trials(
+def _run_round(
     pipeline: PipelineSpec,
-    tau0: float,
-    deadline: float,
+    tau0_values: np.ndarray,
+    deadline_values: np.ndarray,
     b: np.ndarray,
     *,
     n_trials: int,
     n_items: int,
+    target_miss_free: float,
+    max_item_miss_rate: float,
     seed_base: int,
-    workers: int | None = None,
-) -> TrialsResult | None:
-    """Optimize then simulate one grid point; None when infeasible."""
-    problem = RealTimeProblem(pipeline, tau0, deadline)
-    solution = EnforcedWaitsProblem(problem, b).solve()
-    if not solution.feasible:
-        return None
-    waits = solution.waits
+    workers: int | None,
+) -> tuple[CalibrationRound, np.ndarray, np.ndarray]:
+    """Solve and simulate every grid point under ``b``; fold the results.
 
-    if workers and workers > 1:
-        from repro.sim.campaign import run_trials_parallel
-
-        return run_trials_parallel(
-            EnforcedWaitsSimulator,
-            dict(
+    Every point is solved in grid order first (infeasible ones are
+    skipped), then all feasible points' trials run as one job list.  A
+    point is folded into the few numbers the raise loop reads as soon
+    as its ``n_trials`` outcomes have arrived, and its ``SimMetrics``
+    are dropped.  Returns the round with the failing points' observed
+    ``b`` and queue-depth ratio (both elementwise maxima).
+    """
+    points: list[tuple[float, float]] = []
+    jobs: list[tuple[dict, int]] = []
+    for tau0 in tau0_values:
+        for deadline in deadline_values:
+            problem = RealTimeProblem(pipeline, float(tau0), float(deadline))
+            solution = EnforcedWaitsProblem(problem, b).solve()
+            if not solution.feasible:
+                continue
+            points.append((float(tau0), float(deadline)))
+            kwargs = dict(
                 pipeline=pipeline,
-                waits=waits,
-                arrivals=FixedRateArrivals(tau0),
-                deadline=deadline,
+                waits=solution.waits,
+                arrivals=FixedRateArrivals(float(tau0)),
+                deadline=float(deadline),
                 n_items=n_items,
-            ),
-            [seed_base + s for s in range(n_trials)],
-            workers=workers,
-        )
+            )
+            jobs.extend((kwargs, seed_base + s) for s in range(n_trials))
 
-    def factory(seed: int) -> EnforcedWaitsSimulator:
-        return EnforcedWaitsSimulator(
-            pipeline,
-            waits,
-            FixedRateArrivals(tau0),
-            deadline,
-            n_items,
-            seed=seed_base + seed,
-        )
-
-    return run_trials(factory, n_trials)
+    failing: dict[int, tuple[float, float]] = {}
+    observed_max = np.ones(pipeline.n_nodes)
+    hwm_ratio = np.zeros(pipeline.n_nodes)
+    worst_mf = 1.0
+    worst_mr = 0.0
+    arrived: dict[int, dict[int, TrialOutcome]] = {}
+    n_shards = min(workers, len(jobs)) if workers and workers > 1 else 1
+    with closing(_run_shards(EnforcedWaitsSimulator, jobs, n_shards)) as stream:
+        for index, outcome in stream:
+            p, k = divmod(index, n_trials)
+            got = arrived.setdefault(p, {})
+            got[k] = outcome
+            if len(got) < n_trials:
+                continue
+            del arrived[p]
+            trials = TrialsResult(
+                seeds=tuple(seed_base + s for s in range(n_trials)),
+                outcomes=[got[s] for s in range(n_trials)],
+            )
+            tau0, deadline = points[p]
+            if not trials.all_ok:
+                bad = trials.failures[0]
+                exc = CalibrationError(
+                    f"trial at (tau0={tau0:g}, D={deadline:g}, "
+                    f"seed={bad.seed}) {bad.status} ({len(trials.failures)} "
+                    f"of {n_trials} trials at this point did not "
+                    f"complete); first traceback:\n{bad.error}"
+                )
+                exc.outcome = bad  # type: ignore[attr-defined]
+                raise exc
+            mf = trials.miss_free_fraction
+            mr = trials.max_miss_rate
+            worst_mf = min(worst_mf, mf)
+            worst_mr = max(worst_mr, mr)
+            if mf < target_miss_free or mr > max_item_miss_rate:
+                failing[p] = points[p]
+                observed_max = np.maximum(observed_max, trials.observed_b())
+                hwm = np.nanmax(
+                    np.vstack([m.queue_hwm_vectors for m in trials.metrics]),
+                    axis=0,
+                )
+                hwm_ratio = np.maximum(hwm_ratio, hwm / b)
+    rnd = CalibrationRound(
+        b=b.copy(),
+        worst_miss_free=worst_mf,
+        worst_miss_rate=worst_mr,
+        failing_points=[failing[p] for p in sorted(failing)],
+        feasible_points=len(points),
+    )
+    return rnd, observed_max, hwm_ratio
 
 
 def calibrate_enforced_b(
@@ -135,11 +182,15 @@ def calibrate_enforced_b(
     ``max_item_miss_rate`` of items.  Points infeasible under the current
     ``b`` are skipped (matching the paper, which reports results only on
     feasible realizations).  Raises :class:`CalibrationError` if the loop
-    cannot converge within ``max_rounds``.
+    cannot converge within ``max_rounds``, and also if any trial fails
+    (naming the point, seed and status, with the first traceback; the
+    failed :class:`~repro.sim.runner.TrialOutcome` is ``exc.outcome``).
 
-    ``workers > 1`` fans each point's seeds out over processes
-    (:func:`repro.sim.campaign.run_trials_parallel`); results are
-    identical to the serial run.
+    ``workers > 1`` fans each round's trials — every feasible point's
+    seeds, as one job list — out over that many shard worker processes
+    (the runner behind :func:`repro.sim.campaign.run_trials_sharded`),
+    so a round starts ``workers`` processes; results are identical to
+    the serial run.
     """
     tau0_values = np.atleast_1d(np.asarray(tau0_values, dtype=float))
     deadline_values = np.atleast_1d(np.asarray(deadline_values, dtype=float))
@@ -153,57 +204,25 @@ def calibrate_enforced_b(
     result = CalibrationResult(b=b.copy(), passed=False)
 
     for _ in range(max_rounds):
-        failing: list[tuple[float, float]] = []
-        observed_max = np.ones(pipeline.n_nodes)
-        hwm_ratio = np.zeros(pipeline.n_nodes)
-        worst_mf = 1.0
-        worst_mr = 0.0
-        feasible_points = 0
-        for tau0 in tau0_values:
-            for deadline in deadline_values:
-                trials = _enforced_point_trials(
-                    pipeline,
-                    float(tau0),
-                    float(deadline),
-                    b,
-                    n_trials=n_trials,
-                    n_items=n_items,
-                    seed_base=seed_base,
-                    workers=workers,
-                )
-                if trials is None:
-                    continue
-                feasible_points += 1
-                mf = trials.miss_free_fraction
-                mr = trials.max_miss_rate
-                worst_mf = min(worst_mf, mf)
-                worst_mr = max(worst_mr, mr)
-                if mf < target_miss_free or mr > max_item_miss_rate:
-                    failing.append((float(tau0), float(deadline)))
-                    obs = trials.observed_b()
-                    observed_max = np.maximum(observed_max, obs)
-                    hwm = np.nanmax(
-                        np.vstack(
-                            [m.queue_hwm_vectors for m in trials.metrics]
-                        ),
-                        axis=0,
-                    )
-                    hwm_ratio = np.maximum(hwm_ratio, hwm / b)
-        result.rounds.append(
-            CalibrationRound(
-                b=b.copy(),
-                worst_miss_free=worst_mf,
-                worst_miss_rate=worst_mr,
-                failing_points=failing,
-                feasible_points=feasible_points,
-            )
+        rnd, observed_max, hwm_ratio = _run_round(
+            pipeline,
+            tau0_values,
+            deadline_values,
+            b,
+            n_trials=n_trials,
+            n_items=n_items,
+            target_miss_free=target_miss_free,
+            max_item_miss_rate=max_item_miss_rate,
+            seed_base=seed_base,
+            workers=workers,
         )
-        if feasible_points == 0:
+        result.rounds.append(rnd)
+        if rnd.feasible_points == 0:
             raise CalibrationError(
                 "no feasible grid point under the current b; widen the grid "
                 "or lower b0"
             )
-        if not failing:
+        if not rnd.failing_points:
             result.b = b.copy()
             result.passed = True
             return result

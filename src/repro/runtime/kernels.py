@@ -681,7 +681,9 @@ def plan_runtime(
                     n_items=calibrate_items,
                     seed_base=seed,
                 ).b
-            except CalibrationError:
+            except CalibrationError as exc:
+                if getattr(exc, "outcome", None) is not None:
+                    raise  # a trial failed: a fault, not non-convergence
                 calibration_failed = True
         problem = RealTimeProblem(pipeline, tau0, deadline)
         outcome = solve_plan(problem, b_used, method=method, cache=cache)

@@ -27,9 +27,15 @@ before constructing its simulator.
 
 Results remain deterministic and identical to the serial runner: each
 seed fully determines its run, and outcomes are reassembled in seed
-order regardless of completion order.  Calibration campaigns (tens of
-grid points x tens of seeds) are the intended user; a laptop with 8
-cores runs them ~6x faster.
+order regardless of completion order.
+
+Calibration campaigns (tens of grid points x tens of seeds) use the
+sharded job-list runner instead (see "sharded campaigns" below), which
+starts one process per worker rather than one per seed.  On a 2-vCPU
+VM, the Section 6.2 BLAST campaign of ``perfbench/run.py --workload
+calibrate`` (2 rounds x 20 grid points x 8 seeds x 20,000 items,
+``workers=2``) took a median 3.5 s (1.8M simulated items/s) with a
+process per seed and takes 1.2 s (5.3M items/s) sharded per round.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as mp_wait
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -123,11 +129,10 @@ class _Running:
     result: tuple[str, Any] | None = field(default=None)
 
 
-def _check_picklable(sim_cls: type, kwargs: dict[str, Any],
-                     faults: FaultPlan | None) -> None:
+def _check_picklable(*args: Any) -> None:
     """Fail early with a clear SpecError instead of a raw pool traceback."""
     try:
-        pickle.dumps((sim_cls, kwargs, faults))
+        pickle.dumps(args)
     except Exception as exc:
         raise SpecError(
             f"campaign arguments must be picklable to reach worker "
@@ -223,17 +228,22 @@ def run_trials_parallel(
         )
         result.outcomes.extend(outcomes)
 
-    if strict and not result.all_ok:
-        bad = ", ".join(
-            f"seed {o.seed}: {o.status}" for o in result.failures
-        )
-        exc = CampaignError(
-            f"{len(result.failures)} of {result.n_attempted} trials did "
-            f"not complete ({bad})"
-        )
-        exc.result = result  # type: ignore[attr-defined]
-        raise exc
+    if strict:
+        _raise_on_failures(result)
     return result
+
+
+def _raise_on_failures(result: TrialsResult) -> None:
+    """``strict=True``: raise CampaignError carrying the partial result."""
+    if result.all_ok:
+        return
+    bad = ", ".join(f"seed {o.seed}: {o.status}" for o in result.failures)
+    exc = CampaignError(
+        f"{len(result.failures)} of {result.n_attempted} trials did "
+        f"not complete ({bad})"
+    )
+    exc.result = result  # type: ignore[attr-defined]
+    raise exc
 
 
 def run_planned_trials_parallel(
@@ -495,40 +505,41 @@ def _supervise(
 #
 # run_trials_parallel isolates every *seed* in its own process, which is
 # the right shape for hostile workloads (timeouts, retries, crash
-# containment) but pays one interpreter fork + import + pipe per seed.
+# containment) but pays one interpreter fork + pipe per seed.
 # Calibration campaigns are the opposite regime: hundreds of small,
 # trusted, deterministic trials — there, the per-seed process overhead
-# dominates wall clock.  run_trials_sharded splits the seed list into
-# one contiguous shard per worker, runs each shard *serially inside* its
-# worker, and sends one result batch back per shard, so process overhead
-# is amortized across the whole shard.
+# dominates wall clock.  _run_shards takes a list of trial jobs
+# ``(kwargs, seed)``, each with its own kwargs, splits it into one
+# contiguous shard per worker, runs each shard *serially inside* its
+# worker, and streams every trial's outcome back as its own message, so
+# process overhead is paid once per shard and the caller can consume
+# (and drop) outcomes as they arrive.  run_trials_sharded is its
+# same-kwargs case; calibrate_enforced_b hands it a whole round's grid.
 #
-# Arrival sharing: each trial's arrival trace is a pure function of
-# (arrival process, n_items, seed) — the simulators draw it from the
-# dedicated "arrivals" RNG stream, whose identity is exactly
-# ``(seed, "arrivals")``.  The parent therefore pregenerates all traces
-# into one shared-memory matrix; workers replay their rows through
-# :class:`~repro.arrivals.trace.TraceArrivals` (whose ``generate``
-# returns the trace verbatim and ignores the generator), which is
-# bit-identical to each worker drawing its own — without pickling
-# ``n_seeds * n_items`` floats through every pipe.
+# Arrival sharing (run_trials_sharded only): each trial's arrival trace
+# is a pure function of (arrival process, n_items, seed) — the
+# simulators draw it from the dedicated "arrivals" RNG stream, whose
+# identity is exactly ``(seed, "arrivals")``.  The parent can therefore
+# pregenerate all traces into one shared-memory matrix; workers replay
+# their rows through :class:`~repro.arrivals.trace.TraceArrivals`
+# (whose ``generate`` returns the trace verbatim and ignores the
+# generator), which is bit-identical to each worker drawing its own —
+# without pickling ``n_seeds * n_items`` floats through every pipe.
 
 
 def _shard_worker(
     conn: Connection,
     sim_cls: type,
-    kwargs: dict[str, Any],
-    seeds: Sequence[int],
+    jobs: list[tuple[int, dict[str, Any], int]],
     shm_name: str | None,
-    n_rows: int,
-    n_items: int,
-    row0: int,
+    shape: tuple[int, int],
 ) -> None:
-    """Run one contiguous shard of seeds serially; send the outcome batch.
+    """Run one shard of ``(index, kwargs, seed)`` jobs serially.
 
-    Sends ``(STATUS_OK, [TrialOutcome, ...])`` — per-seed failures are
-    already captured inside the outcomes by ``_run_serial`` — or
-    ``("error", traceback)`` if the shard machinery itself breaks.
+    Sends ``(index, TrialOutcome)`` per job as soon as it finishes —
+    simulator errors are already captured inside the outcome by
+    ``_run_serial`` — or ``(None, traceback)`` if the shard machinery
+    itself breaks.
     """
     shm = None
     try:
@@ -551,24 +562,20 @@ def _shard_worker(
                     resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:
                 pass
-            mat = np.ndarray(
-                (n_rows, n_items), dtype=np.float64, buffer=shm.buf
-            )
-        outcomes = []
-        for j, seed in enumerate(seeds):
-            wkw = kwargs
+            mat = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
+        for index, kwargs, seed in jobs:
             if mat is not None:
                 # Copy the row out of shared memory: the simulator may
                 # hold the array past shm.close().
-                wkw = dict(
-                    kwargs,
-                    arrivals=TraceArrivals(np.array(mat[row0 + j])),
+                kwargs = dict(
+                    kwargs, arrivals=TraceArrivals(np.array(mat[index]))
                 )
-            outcomes.append(_run_serial(sim_cls, wkw, seed, None, 0, 0.0))
-        conn.send((STATUS_OK, outcomes))
+            conn.send(
+                (index, _run_serial(sim_cls, kwargs, seed, None, 0, 0.0))
+            )
     except BaseException:  # noqa: BLE001 — the traceback is the payload
         try:
-            conn.send(("error", traceback.format_exc()))
+            conn.send((None, traceback.format_exc()))
         except Exception:
             pass
     finally:
@@ -617,8 +624,9 @@ def run_trials_sharded(
 
     Failure containment is per-seed for simulator errors (captured as
     ``failed`` outcomes inside the shard) and per-shard for process
-    death (every seed of a dead shard is recorded as ``failed``).  For
-    per-seed timeouts or retries, use :func:`run_trials_parallel`.
+    death (every unfinished seed of a dead shard is recorded as
+    ``failed``).  For per-seed timeouts or retries, use
+    :func:`run_trials_parallel`.
     """
     if "seed" in kwargs:
         raise SpecError("pass seeds via the seeds argument, not kwargs")
@@ -628,73 +636,83 @@ def run_trials_sharded(
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_shards = min(n_workers, len(seed_list))
 
-    result = TrialsResult(seeds=seed_list)
-    if n_shards <= 1:
-        for seed in seed_list:
-            result.outcomes.append(
-                _run_serial(sim_cls, kwargs, seed, None, 0, 0.0)
+    n_items = kwargs.get("n_items")
+    traces = None
+    if (
+        n_shards > 1
+        and share_arrivals
+        and "arrivals" in kwargs
+        and isinstance(n_items, (int, np.integer))
+        and n_items > 0
+    ):
+        arrivals = kwargs["arrivals"]
+        traces = np.empty((len(seed_list), int(n_items)), dtype=np.float64)
+        for i, seed in enumerate(seed_list):
+            traces[i] = arrivals.generate(
+                int(n_items), RngRegistry(int(seed)).stream("arrivals")
             )
-    else:
-        _check_picklable(sim_cls, kwargs, None)
-        result.outcomes.extend(
-            _run_shards(
-                sim_cls, kwargs, seed_list, n_shards, share_arrivals
-            )
-        )
+        kwargs = {k: v for k, v in kwargs.items() if k != "arrivals"}
 
-    if strict and not result.all_ok:
-        bad = ", ".join(
-            f"seed {o.seed}: {o.status}" for o in result.failures
+    outcomes = dict(
+        _run_shards(
+            sim_cls, [(kwargs, seed) for seed in seed_list], n_shards, traces
         )
-        exc = CampaignError(
-            f"{len(result.failures)} of {result.n_attempted} trials did "
-            f"not complete ({bad})"
-        )
-        exc.result = result  # type: ignore[attr-defined]
-        raise exc
+    )
+    result = TrialsResult(
+        seeds=seed_list,
+        outcomes=[outcomes[i] for i in range(len(seed_list))],
+    )
+    if strict:
+        _raise_on_failures(result)
     return result
+
+
+@dataclass
+class _Shard:
+    """A live shard worker, its receive pipe and its unfinished jobs."""
+
+    proc: mp.Process
+    conn: Connection
+    pending: set[int]
 
 
 def _run_shards(
     sim_cls: type,
-    kwargs: dict[str, Any],
-    seed_list: tuple[int, ...],
+    jobs: Sequence[tuple[dict[str, Any], int]],
     n_shards: int,
-    share_arrivals: bool,
-) -> list[TrialOutcome]:
-    """Launch the shard workers and reassemble outcomes in seed order."""
-    n_items = kwargs.get("n_items")
-    share = (
-        share_arrivals
-        and "arrivals" in kwargs
-        and isinstance(n_items, (int, np.integer))
-        and n_items > 0
-    )
-    n_seeds = len(seed_list)
+    traces: np.ndarray | None = None,
+) -> Iterator[tuple[int, TrialOutcome]]:
+    """Run trial jobs ``(kwargs, seed)`` over ``n_shards`` processes.
+
+    Yields ``(job index, TrialOutcome)`` as each trial finishes: in job
+    order when ``n_shards <= 1`` (in-process, no pickling requirement),
+    in arrival order otherwise.  Each worker runs one contiguous slice
+    of ``jobs`` serially; a worker that dies yields its unfinished jobs
+    as ``failed``.  ``traces`` (one row per job) replaces each job's
+    arrival process with its pregenerated row, shared with the workers
+    through one shared-memory segment.  Closing the generator early
+    terminates the workers still running.
+    """
+    if n_shards <= 1:
+        for i, (kwargs, seed) in enumerate(jobs):
+            yield i, _run_serial(sim_cls, kwargs, seed, None, 0, 0.0)
+        return
+    _check_picklable(sim_cls, jobs)
     shm = None
     shm_name = None
-    worker_kwargs = kwargs
-    procs: list[tuple[mp.Process, Connection, np.ndarray]] = []
+    shards: list[_Shard] = []
     try:
-        if share:
+        if traces is not None:
             from multiprocessing import shared_memory
 
-            arrivals = kwargs["arrivals"]
-            traces = np.empty((n_seeds, int(n_items)), dtype=np.float64)
-            for i, seed in enumerate(seed_list):
-                traces[i] = arrivals.generate(
-                    int(n_items), RngRegistry(int(seed)).stream("arrivals")
-                )
             shm = shared_memory.SharedMemory(create=True, size=traces.nbytes)
             np.ndarray(
                 traces.shape, dtype=np.float64, buffer=shm.buf
             )[:] = traces
             shm_name = shm.name
-            worker_kwargs = {
-                k: v for k, v in kwargs.items() if k != "arrivals"
-            }
+        shape = traces.shape if traces is not None else (0, 0)
 
-        for idx in np.array_split(np.arange(n_seeds), n_shards):
+        for idx in np.array_split(np.arange(len(jobs)), n_shards):
             if idx.size == 0:
                 continue
             recv, send = mp.Pipe(duplex=False)
@@ -703,74 +721,64 @@ def _run_shards(
                 args=(
                     send,
                     sim_cls,
-                    worker_kwargs,
-                    [seed_list[i] for i in idx.tolist()],
+                    [(i, *jobs[i]) for i in idx.tolist()],
                     shm_name,
-                    n_seeds,
-                    int(n_items) if share else 0,
-                    int(idx[0]),
+                    shape,
                 ),
                 daemon=True,
             )
             proc.start()
             send.close()
-            procs.append((proc, recv, idx))
+            shards.append(_Shard(proc, recv, set(idx.tolist())))
 
-        outcomes: dict[int, TrialOutcome] = {}
-
-        def shard_failed(idx: np.ndarray, error: str) -> None:
-            for i in idx.tolist():
-                outcomes[i] = TrialOutcome(
-                    seed=seed_list[i],
-                    status=STATUS_FAILED,
-                    error=error,
-                    attempts=1,
-                    duration=0.0,
-                )
-
-        live = list(procs)
+        live = list(shards)
         while live:
             mp_wait(
-                [c for _, c, _ in live] + [p.sentinel for p, _, _ in live],
+                [s.conn for s in live] + [s.proc.sentinel for s in live],
                 timeout=0.5,
             )
-            still: list[tuple[mp.Process, Connection, np.ndarray]] = []
-            for p, c, idx in live:
-                msg: tuple[str, Any] | None = None
+            for s in list(live):
+                # Liveness first, then drain: everything a dead worker
+                # sent before exiting is read before its rest is failed.
+                alive = s.proc.is_alive()
+                error = None
                 try:
-                    if c.poll():
-                        msg = c.recv()
+                    while s.pending and s.conn.poll():
+                        index, payload = s.conn.recv()
+                        if index is None:
+                            error = payload
+                            break
+                        s.pending.discard(index)
+                        yield index, payload
                 except (EOFError, OSError):
-                    msg = None
-                if msg is not None:
-                    kind, payload = msg
-                    if kind == STATUS_OK:
-                        for i, out in zip(idx.tolist(), payload):
-                            outcomes[i] = out
-                    else:
-                        shard_failed(idx, payload)
-                    p.join()
-                    c.close()
-                elif not p.is_alive():
-                    shard_failed(
-                        idx,
+                    alive = False
+                if s.pending and alive and error is None:
+                    continue
+                if s.pending and error is None:
+                    error = (
                         f"shard worker for seeds "
-                        f"{[seed_list[i] for i in idx.tolist()]} died "
-                        f"without a result (exitcode {p.exitcode})",
+                        f"{[jobs[i][1] for i in sorted(s.pending)]} died "
+                        f"without a result (exitcode {s.proc.exitcode})"
                     )
-                    p.join()
-                    c.close()
-                else:
-                    still.append((p, c, idx))
-            live = still
-        return [outcomes[i] for i in range(n_seeds)]
+                for i in sorted(s.pending):
+                    yield i, TrialOutcome(
+                        seed=jobs[i][1],
+                        status=STATUS_FAILED,
+                        error=error,
+                        attempts=1,
+                        duration=0.0,
+                    )
+                s.pending.clear()
+                s.proc.join()
+                s.conn.close()
+                live.remove(s)
     finally:
-        for p, c, _ in procs:
-            if p.is_alive():  # pragma: no cover — only on an abort above
-                p.terminate()
-                p.join(timeout=5.0)
+        for s in shards:
+            if s.proc.is_alive():  # the consumer stopped early
+                s.proc.terminate()
+                s.proc.join(timeout=5.0)
             try:
-                c.close()
+                s.conn.close()
             except OSError:
                 pass
         if shm is not None:

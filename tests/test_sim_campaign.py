@@ -1,6 +1,7 @@
 """Tests for the parallel campaign runner."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,145 @@ class TestCalibrationIntegration:
         )
         assert (serial.b == parallel.b).all()
         assert serial.n_rounds == parallel.n_rounds
+
+    def test_multi_round_grid_matches_serial_round_for_round(self):
+        serial = _calibrate(GRID_TAU0S, GRID_DEADLINES)
+        parallel = _calibrate(GRID_TAU0S, GRID_DEADLINES, workers=2)
+        # The grid exercises what the raise loop reads: several rounds,
+        # a point that is infeasible (D = 1e3), several failing points.
+        assert serial.n_rounds >= 2
+        n_points = len(GRID_TAU0S) * len(GRID_DEADLINES)
+        assert all(r.feasible_points < n_points for r in serial.rounds)
+        assert max(len(r.failing_points) for r in serial.rounds) >= 2
+        assert (serial.b == parallel.b).all()
+        assert serial.passed == parallel.passed
+        assert len(serial.rounds) == len(parallel.rounds)
+        for s, p in zip(serial.rounds, parallel.rounds):
+            assert np.array_equal(s.b, p.b)
+            assert s.worst_miss_free == p.worst_miss_free
+            assert s.worst_miss_rate == p.worst_miss_rate
+            assert s.failing_points == p.failing_points
+            assert s.feasible_points == p.feasible_points
+
+    def test_worker_starts_per_campaign_bounded_by_rounds_times_workers(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        starts = []
+        start = multiprocessing.Process.start
+
+        def counting_start(proc):
+            starts.append(proc)
+            return start(proc)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        result = _calibrate(GRID_TAU0S, GRID_DEADLINES, workers=2)
+        assert 0 < len(starts) <= result.n_rounds * 2
+
+
+GRID_TAU0S = (3.0, 5.0)
+GRID_DEADLINES = (1e3, 1.5e4, 2e4, 3e4)
+
+
+def _calibrate(tau0s, deadlines, **kwargs):
+    from repro.apps.blast.pipeline import blast_pipeline
+    from repro.core.calibration import calibrate_enforced_b
+
+    return calibrate_enforced_b(
+        blast_pipeline(),
+        np.asarray(tau0s),
+        np.asarray(deadlines),
+        n_trials=3,
+        n_items=3000,
+        **kwargs,
+    )
+
+
+class SeedFaultSim(EnforcedWaitsSimulator):
+    """Raises (``fail_seeds``), kills its process (``exit_seeds``) or
+    sleeps first (arrival periods in ``slow_tau0s``)."""
+
+    fail_seeds: frozenset = frozenset()
+    exit_seeds: frozenset = frozenset()
+    slow_tau0s: frozenset = frozenset()
+
+    def __init__(self, *args, seed: int = 0, **kwargs) -> None:
+        super().__init__(*args, seed=seed, **kwargs)
+        self.fault_seed = seed
+        self.fault_tau0 = kwargs["arrivals"].tau0
+
+    def run(self) -> SimMetrics:
+        if self.fault_tau0 in self.slow_tau0s:
+            time.sleep(0.03)
+        if self.fault_seed in self.exit_seeds:
+            os._exit(17)
+        if self.fault_seed in self.fail_seeds:
+            raise RuntimeError(f"injected failure for seed {self.fault_seed}")
+        return super().run()
+
+
+class TestCalibrationPatchedSimulator:
+    """Calibration over a patched simulator: slow rows and failed trials.
+
+    Worker processes are forked, so they inherit the patch.
+    """
+
+    @pytest.fixture
+    def faulty(self, monkeypatch):
+        import repro.core.calibration as calibration
+
+        monkeypatch.setattr(calibration, "EnforcedWaitsSimulator", SeedFaultSim)
+        return monkeypatch
+
+    def test_failing_points_stay_in_grid_order(self, faulty):
+        # The first shard holds the tau0=3 row; slowing it makes the
+        # second shard's failing points arrive first.
+        faulty.setattr(SeedFaultSim, "slow_tau0s", frozenset({3.0}))
+        serial = _calibrate(GRID_TAU0S, GRID_DEADLINES)
+        parallel = _calibrate(GRID_TAU0S, GRID_DEADLINES, workers=2)
+        first = serial.rounds[0].failing_points
+        assert {t for t, _ in first} == {3.0, 5.0}
+        assert first == sorted(first)
+        assert [r.failing_points for r in parallel.rounds] == [
+            r.failing_points for r in serial.rounds
+        ]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_some_failed_trials_raise(self, faulty, workers):
+        from repro.errors import CalibrationError
+
+        faulty.setattr(SeedFaultSim, "fail_seeds", frozenset({1}))
+        with pytest.raises(CalibrationError) as exc_info:
+            _calibrate((5.0,), (2e4, 3e4), workers=workers)
+        msg = str(exc_info.value)
+        assert "tau0=5" in msg and "seed=1) failed" in msg
+        assert "injected failure for seed 1" in msg
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_every_trial_failed_raises_calibration_error(self, faulty, workers):
+        from repro.errors import CalibrationError
+
+        faulty.setattr(SeedFaultSim, "fail_seeds", frozenset({0, 1, 2}))
+        with pytest.raises(CalibrationError, match="3 of 3 trials"):
+            _calibrate((5.0,), (2e4, 3e4), workers=workers)
+
+    def test_plan_runtime_does_not_retry_past_a_failed_trial(self, faulty):
+        from repro.errors import CalibrationError
+        from repro.runtime.kernels import build_workload, plan_runtime
+
+        faulty.setattr(SeedFaultSim, "fail_seeds", frozenset({0}))
+        with pytest.raises(CalibrationError, match="injected failure"):
+            plan_runtime(
+                build_workload("synthetic", seed=0), vector_width=8, seed=0
+            )
+
+    def test_dead_worker_raises_instead_of_hanging(self, faulty):
+        from repro.errors import CalibrationError
+
+        faulty.setattr(SeedFaultSim, "exit_seeds", frozenset({2}))
+        with pytest.raises(CalibrationError, match="died without a result"):
+            _calibrate((5.0,), (2e4, 3e4), workers=2)
 
 
 class TestValidation:
@@ -450,3 +590,58 @@ class TestShardedCampaign:
             run_trials_sharded(
                 FastSim, {"cb": lambda: None}, 4, workers=2
             )
+
+
+# -- job-list runner ---------------------------------------------------------
+
+from repro.sim.campaign import _run_shards  # noqa: E402
+
+
+class ExitingSim:
+    """Finishes instantly, or kills its worker process when ``die``."""
+
+    def __init__(self, *, die: bool = False, seed: int = 0) -> None:
+        self.die = die
+        self.seed = seed
+
+    def run(self) -> SimMetrics:
+        if self.die:
+            os._exit(17)
+        return _dummy_metrics(self.seed)
+
+
+class TestJobListRunner:
+    def test_per_job_kwargs_match_serial_in_job_order(self, enforced_kwargs):
+        jobs = [
+            (dict(enforced_kwargs, n_items=n, arrivals=FixedRateArrivals(t)),
+             seed)
+            for n, t, seed in [
+                (1000, 20.0, 4), (2000, 20.0, 1), (1500, 30.0, 4),
+                (2000, 40.0, 0), (1000, 30.0, 9),
+            ]
+        ]
+        serial = list(_run_shards(EnforcedWaitsSimulator, jobs, 1))
+        assert [i for i, _ in serial] == list(range(len(jobs)))
+        sharded = dict(_run_shards(EnforcedWaitsSimulator, jobs, 2))
+        assert sorted(sharded) == list(range(len(jobs)))
+        for i, a in serial:
+            b = sharded[i]
+            assert (a.seed, a.status) == (b.seed, b.status) == (jobs[i][1], "ok")
+            assert a.metrics.n_items == b.metrics.n_items == jobs[i][0]["n_items"]
+            assert a.metrics.outputs == b.metrics.outputs
+            assert a.metrics.makespan == b.metrics.makespan
+            assert a.metrics.active_fraction == b.metrics.active_fraction
+            assert np.array_equal(
+                a.metrics.queue_hwm_vectors, b.metrics.queue_hwm_vectors
+            )
+
+    def test_dead_shard_fails_only_its_unfinished_jobs(self):
+        # Two shards: jobs 0-2 and jobs 3-5.  Job 4 kills its worker, so
+        # job 3 (already streamed back) stays ok and job 5 never runs.
+        jobs = [({"die": i == 4}, i) for i in range(6)]
+        outcomes = dict(_run_shards(ExitingSim, jobs, 2))
+        assert [outcomes[i].status for i in range(6)] == [
+            "ok", "ok", "ok", "ok", "failed", "failed"
+        ]
+        assert "died without a result" in outcomes[4].error
+        assert [outcomes[i].seed for i in range(6)] == list(range(6))
