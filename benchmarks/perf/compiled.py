@@ -1,4 +1,4 @@
-"""Emit ``BENCH_compiled.json``: compiled-backend and campaign throughput.
+"""Emit ``BENCH_compiled.json``: compiled-backend throughput.
 
 Companion to :mod:`benchmarks.perf.run` (which races the vectorized
 simulators against their frozen references).  This harness measures what
@@ -16,16 +16,11 @@ the ``repro.simd.backend`` seam buys on top of that:
   asserted before any number is reported.  The *events/s* figure is the
   event-path's ``engine.events_processed`` divided by each path's wall
   clock — i.e. "how fast does this path retire the event path's work".
-- **campaign** — a multi-seed calibration campaign via the sharded
-  runner (:func:`repro.sim.campaign.run_trials_sharded`) against the
-  process-per-seed baseline (:func:`run_trials_parallel`), with
-  per-seed metrics equality asserted.
 
 Usage (repository root)::
 
     python -m benchmarks.perf.compiled [--smoke] [--out PATH]
         [--min-e2e-speedup X] [--min-events-per-sec N]
-        [--min-campaign-speedup X]
 
 The ``--min-*`` floors exit nonzero when unmet — CI gates on them (with
 deliberately modest values: shared runners are noisy); the committed
@@ -54,10 +49,6 @@ from benchmarks.perf.run import (  # noqa: E402
 )
 from repro.arrivals.poisson import PoissonArrivals  # noqa: E402
 from repro.des.engine import Engine  # noqa: E402
-from repro.sim.campaign import (  # noqa: E402
-    run_trials_parallel,
-    run_trials_sharded,
-)
 from repro.sim.enforced import EnforcedWaitsSimulator  # noqa: E402
 from repro.sim.reference import ReferenceEnforcedSimulator  # noqa: E402
 from repro.simd.backend import (  # noqa: E402
@@ -211,43 +202,6 @@ def section_e2e_enforced(smoke: bool) -> dict:
     }
 
 
-def section_campaign(smoke: bool) -> dict:
-    """Sharded campaign vs process-per-seed baseline; equality asserted."""
-    n_seeds = 12 if smoke else 100
-    n_items = 2_000 if smoke else 50_000
-    kwargs = dict(
-        pipeline=_pipeline(),
-        waits=_WAITS,
-        arrivals=PoissonArrivals(1.4),
-        deadline=60.0,
-        n_items=n_items,
-    )
-    baseline, base_s = _timed(
-        lambda: run_trials_parallel(
-            EnforcedWaitsSimulator, kwargs, n_seeds, workers=2
-        )
-    )
-    sharded, shard_s = _timed(
-        lambda: run_trials_sharded(EnforcedWaitsSimulator, kwargs, n_seeds)
-    )
-    assert baseline.all_ok and sharded.all_ok
-    identical = all(
-        _metrics_bit_identical(a.metrics, b.metrics)
-        for a, b in zip(sharded.outcomes, baseline.outcomes)
-    )
-    assert identical, "sharded campaign diverged from process-per-seed"
-    return {
-        "n_seeds": n_seeds,
-        "n_items": n_items,
-        "baseline": "run_trials_parallel(workers=2), process per seed",
-        "baseline_seconds": base_s,
-        "sharded_seconds": shard_s,
-        "speedup": base_s / shard_s if shard_s > 0 else None,
-        "trials_per_sec": n_seeds / shard_s if shard_s > 0 else None,
-        "metrics_identical": identical,
-    }
-
-
 def run_all(smoke: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -258,7 +212,6 @@ def run_all(smoke: bool) -> dict:
         "backend": section_backend(),
         "engine_queues": section_engine_queues(smoke),
         "e2e_enforced": section_e2e_enforced(smoke),
-        "campaign": section_campaign(smoke),
     }
 
 
@@ -289,12 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="floor on the fast path's equivalent events/s (CI gate)",
     )
-    parser.add_argument(
-        "--min-campaign-speedup",
-        type=float,
-        default=None,
-        help="floor on sharded-campaign speedup vs process-per-seed",
-    )
     args = parser.parse_args(argv)
 
     report = run_all(smoke=args.smoke)
@@ -302,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
 
     e2e = report["e2e_enforced"]
-    camp = report["campaign"]
     queues = report["engine_queues"]
     print(
         f"backend={report['backend']['active']} "
@@ -313,11 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{e2e['event_seconds']:.3f}s -> fast {e2e['fast_seconds']:.3f}s "
         f"({e2e['speedup_vs_event_path']:.1f}x, "
         f"{e2e['fast_events_per_sec_equivalent']:,.0f} ev/s equivalent)"
-    )
-    print(
-        f"campaign ({camp['n_seeds']} seeds x {camp['n_items']} items): "
-        f"{camp['baseline_seconds']:.2f}s -> {camp['sharded_seconds']:.2f}s "
-        f"({camp['speedup']:.1f}x)"
     )
     print(
         f"engine queues: heap/calendar = "
@@ -341,14 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"fast path {e2e['fast_events_per_sec_equivalent']:,.0f} ev/s "
             f"below the floor {args.min_events_per_sec:,.0f}"
-        )
-    if (
-        args.min_campaign_speedup is not None
-        and (camp["speedup"] or 0.0) < args.min_campaign_speedup
-    ):
-        failures.append(
-            f"campaign speedup {camp['speedup']:.2f}x below the floor "
-            f"{args.min_campaign_speedup}x"
         )
     for f in failures:
         print(f"ERROR: {f}", file=sys.stderr)

@@ -87,15 +87,16 @@ def main() -> None:
 
     # -- 4. Validate the design across seeds ------------------------------
     trials = run_trials(
-        lambda seed: EnforcedWaitsSimulator(
-            pipeline,
-            sol.waits,
-            FixedRateArrivals(tau0),
-            deadline,
-            8000,
-            seed=seed,
+        EnforcedWaitsSimulator,
+        dict(
+            pipeline=pipeline,
+            waits=sol.waits,
+            arrivals=FixedRateArrivals(tau0),
+            deadline=deadline,
+            n_items=8000,
         ),
         10,
+        strict=True,
     )
     print(
         f"design at tau0={tau0:.1f}, D={deadline:.0f}: "

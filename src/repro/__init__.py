@@ -62,7 +62,7 @@ from repro.core.pareto import deadline_frontier, min_deadline_for_af
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import run_trials
+from repro.sim.campaign import run_trials
 from repro.apps.blast.pipeline import blast_pipeline, CALIBRATED_B
 
 __all__ = [

@@ -32,10 +32,10 @@ from repro.core.model import RealTimeProblem
 from repro.core.monolithic import MonolithicProblem
 from repro.dataflow.spec import PipelineSpec
 from repro.errors import CalibrationError, SpecError
-from repro.sim.campaign import _run_shards
+from repro.sim.campaign import _run_jobs, run_trials
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import TrialOutcome, TrialsResult, run_trials
+from repro.sim.runner import TrialOutcome, TrialsResult
 
 __all__ = [
     "CalibrationResult",
@@ -115,8 +115,7 @@ def _run_round(
     worst_mf = 1.0
     worst_mr = 0.0
     arrived: dict[int, dict[int, TrialOutcome]] = {}
-    n_shards = min(workers, len(jobs)) if workers and workers > 1 else 1
-    with closing(_run_shards(EnforcedWaitsSimulator, jobs, n_shards)) as stream:
+    with closing(_run_jobs(EnforcedWaitsSimulator, jobs, workers=workers)) as stream:
         for index, outcome in stream:
             p, k = divmod(index, n_trials)
             got = arrived.setdefault(p, {})
@@ -187,10 +186,10 @@ def calibrate_enforced_b(
     failed :class:`~repro.sim.runner.TrialOutcome` is ``exc.outcome``).
 
     ``workers > 1`` fans each round's trials — every feasible point's
-    seeds, as one job list — out over that many shard worker processes
-    (the runner behind :func:`repro.sim.campaign.run_trials_sharded`),
-    so a round starts ``workers`` processes; results are identical to
-    the serial run.
+    seeds, as one job list — out over that many shard processes of the
+    supervisor behind :func:`repro.sim.campaign.run_trials`, so a round
+    with no failures starts ``workers`` processes; results are identical
+    to the serial run.
     """
     tau0_values = np.atleast_1d(np.asarray(tau0_values, dtype=float))
     deadline_values = np.atleast_1d(np.asarray(deadline_values, dtype=float))
@@ -266,18 +265,18 @@ def validate_monolithic_params(
             sol = MonolithicProblem(problem, b=b, s_scale=s_scale).solve()
             if not sol.feasible:
                 continue
-
-            def factory(seed: int, _m: int = sol.block_size, _t: float = float(tau0), _d: float = float(deadline)) -> MonolithicSimulator:
-                return MonolithicSimulator(
-                    pipeline,
-                    _m,
-                    FixedRateArrivals(_t),
-                    _d,
-                    n_items,
-                    seed=seed_base + seed,
-                )
-
-            trials = run_trials(factory, n_trials)
+            trials = run_trials(
+                MonolithicSimulator,
+                dict(
+                    pipeline=pipeline,
+                    block_size=sol.block_size,
+                    arrivals=FixedRateArrivals(float(tau0)),
+                    deadline=float(deadline),
+                    n_items=n_items,
+                ),
+                range(seed_base, seed_base + n_trials),
+                strict=True,
+            )
             if trials.miss_free_fraction < target_miss_free:
                 failures.append(
                     (float(tau0), float(deadline), trials.miss_free_fraction)

@@ -34,7 +34,7 @@ from repro.dataflow.gains import (
 from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.experiments.scale import scaled
 from repro.sim.enforced import EnforcedWaitsSimulator
-from repro.sim.runner import run_trials
+from repro.sim.campaign import run_trials
 from repro.utils.tables import render_table
 
 __all__ = [
@@ -79,24 +79,24 @@ def _enforced_trials(
     *,
     n_trials: int,
     n_items: int,
-    arrivals_factory=None,
+    arrivals=None,
     **sim_kwargs,
 ):
-    if arrivals_factory is None:
-        arrivals_factory = lambda: FixedRateArrivals(tau0)
-
-    def factory(seed: int) -> EnforcedWaitsSimulator:
-        return EnforcedWaitsSimulator(
-            pipeline,
-            waits,
-            arrivals_factory(),
-            deadline,
-            n_items,
-            seed=seed,
+    if arrivals is None:
+        arrivals = FixedRateArrivals(tau0)
+    return run_trials(
+        EnforcedWaitsSimulator,
+        dict(
+            pipeline=pipeline,
+            waits=waits,
+            arrivals=arrivals,
+            deadline=deadline,
+            n_items=n_items,
             **sim_kwargs,
-        )
-
-    return run_trials(factory, n_trials)
+        ),
+        n_trials,
+        strict=True,
+    )
 
 
 def run_ablation_timing(
@@ -294,9 +294,9 @@ def run_poisson_arrivals(
     result = AblationResult(
         title=f"F2 arrival processes at tau0={tau0}, D={deadline:.3g}"
     )
-    for name, make in (
-        ("fixed rate (paper)", lambda: FixedRateArrivals(tau0)),
-        ("Poisson (Section 7)", lambda: PoissonArrivals(tau0)),
+    for name, arrivals in (
+        ("fixed rate (paper)", FixedRateArrivals(tau0)),
+        ("Poisson (Section 7)", PoissonArrivals(tau0)),
     ):
         trials = _enforced_trials(
             pipeline,
@@ -305,7 +305,7 @@ def run_poisson_arrivals(
             sol.waits,
             n_trials=trials_n,
             n_items=items,
-            arrivals_factory=make,
+            arrivals=arrivals,
         )
         result.rows.append(
             (

@@ -36,7 +36,7 @@ from repro.experiments.scale import scaled
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import run_trials
+from repro.sim.campaign import run_trials
 from repro.utils.tables import render_table
 
 __all__ = [
@@ -86,16 +86,17 @@ def run_adaptive_policies(
     )
     for policy in ("fixed", "full-vector", "slack"):
         trials = run_trials(
-            lambda seed, p=policy: AdaptiveWaitsSimulator(
-                pipeline,
-                sol.waits,
-                FixedRateArrivals(tau0),
-                deadline,
-                items,
-                seed=seed,
-                policy=p,
+            AdaptiveWaitsSimulator,
+            dict(
+                pipeline=pipeline,
+                waits=sol.waits,
+                arrivals=FixedRateArrivals(tau0),
+                deadline=deadline,
+                n_items=items,
+                policy=policy,
             ),
             trials_n,
+            strict=True,
         )
         result.rows.append(
             (
@@ -139,16 +140,17 @@ def run_phase_offsets(
         ("chain-aligned phases", offsets),
     ):
         trials = run_trials(
-            lambda seed, o=offs: EnforcedWaitsSimulator(
-                pipeline,
-                sol.waits,
-                FixedRateArrivals(tau0),
-                deadline,
-                items,
-                seed=seed,
-                start_offsets=o,
+            EnforcedWaitsSimulator,
+            dict(
+                pipeline=pipeline,
+                waits=sol.waits,
+                arrivals=FixedRateArrivals(tau0),
+                deadline=deadline,
+                n_items=items,
+                start_offsets=offs,
             ),
             trials_n,
+            strict=True,
         )
         result.rows.append(
             (
@@ -229,15 +231,16 @@ def run_gain_sensitivity(
     for workload, spec in (("nominal", pipeline), ("bursty", bursty)):
         if esol.feasible:
             trials = run_trials(
-                lambda seed, s=spec: EnforcedWaitsSimulator(
-                    s,
-                    esol.waits,
-                    FixedRateArrivals(tau0),
-                    deadline,
-                    items,
-                    seed=seed,
+                EnforcedWaitsSimulator,
+                dict(
+                    pipeline=spec,
+                    waits=esol.waits,
+                    arrivals=FixedRateArrivals(tau0),
+                    deadline=deadline,
+                    n_items=items,
                 ),
                 trials_n,
+                strict=True,
             )
             result.rows.append(
                 (
@@ -249,15 +252,16 @@ def run_gain_sensitivity(
             )
         if msol.feasible:
             trials = run_trials(
-                lambda seed, s=spec: MonolithicSimulator(
-                    s,
-                    msol.block_size,
-                    FixedRateArrivals(tau0),
-                    deadline,
-                    items,
-                    seed=seed,
+                MonolithicSimulator,
+                dict(
+                    pipeline=spec,
+                    block_size=msol.block_size,
+                    arrivals=FixedRateArrivals(tau0),
+                    deadline=deadline,
+                    n_items=items,
                 ),
                 trials_n,
+                strict=True,
             )
             result.rows.append(
                 (

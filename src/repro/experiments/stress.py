@@ -26,7 +26,7 @@ from repro.core.monolithic import MonolithicProblem
 from repro.experiments.scale import scaled
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import run_trials
+from repro.sim.campaign import run_trials
 from repro.utils.tables import render_table
 
 __all__ = ["BurstyStressResult", "run_bursty_stress"]
@@ -102,24 +102,26 @@ def run_bursty_stress(
 
     result = BurstyStressResult(point=point)
     for intensity in intensities:
-        def arrivals():
-            if intensity == 0.0:
-                return FixedRateArrivals(tau0)
-            return _bursty_for(tau0, intensity)
+        arrivals = (
+            FixedRateArrivals(tau0)
+            if intensity == 0.0
+            else _bursty_for(tau0, intensity)
+        )
 
         # Enforced design under this stream.
         e_mf = float("nan")
         if esol.feasible:
             trials = run_trials(
-                lambda seed: EnforcedWaitsSimulator(
-                    pipeline,
-                    esol.waits,
-                    arrivals(),
-                    deadline,
-                    items,
-                    seed=seed,
+                EnforcedWaitsSimulator,
+                dict(
+                    pipeline=pipeline,
+                    waits=esol.waits,
+                    arrivals=arrivals,
+                    deadline=deadline,
+                    n_items=items,
                 ),
                 trials_n,
+                strict=True,
             )
             e_mf = trials.miss_free_fraction
 
@@ -132,15 +134,16 @@ def run_bursty_stress(
             if not msol.feasible:
                 break
             trials = run_trials(
-                lambda seed, m=msol.block_size: MonolithicSimulator(
-                    pipeline,
-                    m,
-                    arrivals(),
-                    deadline,
-                    items,
-                    seed=seed,
+                MonolithicSimulator,
+                dict(
+                    pipeline=pipeline,
+                    block_size=msol.block_size,
+                    arrivals=arrivals,
+                    deadline=deadline,
+                    n_items=items,
                 ),
                 trials_n,
+                strict=True,
             )
             if s == 1.0:
                 mf_at_one = trials.miss_free_fraction

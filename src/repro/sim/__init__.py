@@ -11,23 +11,20 @@ determining how many inputs, if any, incur a deadline miss."
   processing with block size ``M``.
 - :mod:`~repro.sim.metrics` — per-run metrics (active fraction, latency
   distribution, deadline misses, queue high-water marks).
-- :mod:`~repro.sim.runner` — multi-seed trial campaigns (the paper's "100
-  runs with different random seeds").
+- :func:`~repro.sim.campaign.run_trials` — the one multi-seed campaign
+  runner (the paper's "100 runs with different random seeds"), serial
+  or over worker processes; :mod:`~repro.sim.runner` holds its result
+  types.
 """
 
 from repro.sim.metrics import LatencyLedger, SimMetrics
 from repro.sim.adaptive import AdaptiveWaitsSimulator
-from repro.sim.campaign import (
-    run_planned_trials_parallel,
-    run_planned_trials_sharded,
-    run_trials_parallel,
-    run_trials_sharded,
-)
+from repro.sim.campaign import run_trials
 from repro.sim.dag import DagEnforcedWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.faults import FaultPlan, InjectedFault
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import TrialOutcome, TrialsResult, run_trials
+from repro.sim.runner import TrialOutcome, TrialsResult
 from repro.sim.report import (
     summarize_metrics,
     summarize_telemetry,
@@ -44,10 +41,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "run_trials",
-    "run_planned_trials_parallel",
-    "run_planned_trials_sharded",
-    "run_trials_parallel",
-    "run_trials_sharded",
     "TrialOutcome",
     "TrialsResult",
     "summarize_metrics",

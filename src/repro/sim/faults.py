@@ -6,11 +6,11 @@ about failure paths are worthless untested, and real simulators fail
 rarely and nondeterministically — so this module provides a *hook* that
 makes trials fail on demand, deterministically, per seed.
 
-A :class:`FaultPlan` is a picklable value object passed to the runners;
-before each trial attempt the runner calls :meth:`FaultPlan.apply` with
+A :class:`FaultPlan` is a picklable value object passed to the runner;
+before each trial attempt it calls :meth:`FaultPlan.apply` with
 the trial's seed and (1-based) attempt number, which either returns
 normally, raises :class:`InjectedFault` (a "crash"), or sleeps (a
-"hang", which the supervised runner reaps via its per-trial timeout).
+"hang", which the runner reaps via its per-trial timeout).
 
 Fault kinds
 -----------
@@ -64,7 +64,7 @@ class FaultPlan:
     def apply(self, seed: int, attempt: int = 1) -> None:
         """Inject this plan's fault for ``seed`` on attempt ``attempt``.
 
-        Called by the campaign runners immediately before constructing
+        Called by the campaign runner immediately before constructing
         the simulator.  Raises :class:`InjectedFault` for (still-)failing
         attempts, sleeps for hanging seeds, and is a no-op otherwise.
         """

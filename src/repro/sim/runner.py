@@ -1,32 +1,29 @@
-"""Multi-seed trial campaigns.
+"""Result types of multi-seed trial campaigns.
 
 Section 6.2: "checked how often the simulator reported deadline misses
 over 100 runs with different random seeds ... no misses in at least 95% of
-random trials".  :func:`run_trials` executes a simulator factory across
-seeds and aggregates exactly those acceptance statistics.
+random trials".  :func:`repro.sim.campaign.run_trials` runs such a
+campaign; this module holds what it returns.
 
 Every trial produces a :class:`TrialOutcome` — ``ok``, ``failed`` (with
 the captured traceback), or ``timed-out`` — and :class:`TrialsResult`
 aggregates the paper's statistics over the successful subset, so a
 campaign with a few bad seeds still reports its partial results instead
-of losing everything.  The serial :func:`run_trials` keeps the historic
-fail-fast default (``catch_failures=False``); the supervised parallel
-runner (:func:`repro.sim.campaign.run_trials_parallel`) always collects.
+of losing everything.
 """
 
 from __future__ import annotations
 
-import time
-import traceback
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SpecError
 from repro.sim.metrics import SimMetrics
 
-__all__ = ["TrialOutcome", "TrialsResult", "run_trials"]
+__all__ = ["TrialOutcome", "TrialsResult", "normalize_seeds", "check_metrics"]
 
 #: Trial status values.
 STATUS_OK = "ok"
@@ -160,13 +157,27 @@ class TrialsResult:
         return np.maximum(1.0, np.ceil(q))
 
 
+def _seed(value: object) -> int:
+    """A non-negative Python or NumPy integer as an int, else SpecError."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        seed = operator.index(value)
+    except TypeError:
+        raise SpecError(f"seeds must be integers, got {value!r}") from None
+    if seed < 0:
+        raise SpecError(f"seeds must be non-negative integers, got {seed}")
+    return seed
+
+
 def normalize_seeds(seeds: Sequence[int] | int) -> tuple[int, ...]:
-    """Expand an int ``k`` to ``range(k)``; validate explicit sequences."""
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise SpecError(f"need at least one trial, got {seeds}")
-        return tuple(range(seeds))
-    seed_list = tuple(int(s) for s in seeds)
+    """Expand an integer ``k`` to ``range(k)``; validate explicit sequences."""
+    if not hasattr(seeds, "__iter__"):
+        n = _seed(seeds)
+        if n < 1:
+            raise SpecError(f"need at least one trial, got {n}")
+        return tuple(range(n))
+    seed_list = tuple(_seed(s) for s in seeds)
     if not seed_list:
         raise SpecError("seeds must be non-empty")
     return seed_list
@@ -176,68 +187,7 @@ def check_metrics(sim: object, metrics: object) -> SimMetrics:
     """Validate a simulator's run() return value."""
     if not isinstance(metrics, SimMetrics):
         raise SpecError(
-            f"factory produced {type(sim).__name__} whose run() returned "
+            f"{type(sim).__name__}.run() returned "
             f"{type(metrics).__name__}, not SimMetrics"
         )
     return metrics
-
-
-def run_trials(
-    factory: Callable[[int], object],
-    seeds: Sequence[int] | int,
-    *,
-    catch_failures: bool = False,
-    retries: int = 0,
-    backoff: float = 0.0,
-) -> TrialsResult:
-    """Run ``factory(seed).run()`` for every seed and aggregate.
-
-    ``seeds`` may be an int ``k`` (meaning ``range(k)``) or an explicit
-    sequence.  The factory must return a fresh simulator per call
-    (simulators are single-use).
-
-    With ``catch_failures=True`` a raising trial is retried up to
-    ``retries`` times (sleeping ``backoff * 2**(attempt-1)`` seconds
-    between attempts) and, if still failing, recorded as a ``failed``
-    :class:`TrialOutcome` instead of propagating.  The default preserves
-    the historic fail-fast behaviour.  Per-trial timeouts need process
-    isolation — use :func:`repro.sim.campaign.run_trials_parallel`.
-    """
-    if retries < 0:
-        raise SpecError(f"retries must be >= 0, got {retries}")
-    if backoff < 0:
-        raise SpecError(f"backoff must be >= 0, got {backoff}")
-    seed_list = normalize_seeds(seeds)
-    result = TrialsResult(seeds=seed_list)
-    for seed in seed_list:
-        attempts = retries + 1 if catch_failures else 1
-        outcome: TrialOutcome | None = None
-        for attempt in range(1, attempts + 1):
-            start = time.perf_counter()
-            try:
-                sim = factory(seed)
-                metrics = check_metrics(sim, sim.run())  # type: ignore[attr-defined]
-            except Exception:
-                if not catch_failures:
-                    raise
-                outcome = TrialOutcome(
-                    seed=seed,
-                    status=STATUS_FAILED,
-                    error=traceback.format_exc(),
-                    attempts=attempt,
-                    duration=time.perf_counter() - start,
-                )
-                if attempt <= retries and backoff > 0:
-                    time.sleep(backoff * 2 ** (attempt - 1))
-                continue
-            outcome = TrialOutcome(
-                seed=seed,
-                status=STATUS_OK,
-                metrics=metrics,
-                attempts=attempt,
-                duration=time.perf_counter() - start,
-            )
-            break
-        assert outcome is not None
-        result.outcomes.append(outcome)
-    return result

@@ -15,7 +15,7 @@ from repro.core.model import RealTimeProblem
 from repro.core.monolithic import solve_monolithic
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import run_trials
+from repro.sim.campaign import run_trials
 
 B = np.asarray([1.0, 3.0, 9.0, 6.0])
 
@@ -69,15 +69,16 @@ class TestDesignExecutesCorrectly:
             RealTimeProblem(blast, tau0, deadline), B
         )
         trials = run_trials(
-            lambda seed: EnforcedWaitsSimulator(
-                blast,
-                sol.waits,
-                FixedRateArrivals(tau0),
-                deadline,
-                8000,
-                seed=seed,
+            EnforcedWaitsSimulator,
+            dict(
+                pipeline=blast,
+                waits=sol.waits,
+                arrivals=FixedRateArrivals(tau0),
+                deadline=deadline,
+                n_items=8000,
             ),
             8,
+            strict=True,
         )
         assert trials.miss_free_fraction >= 0.95
         # "active fractions measured closely matched those predicted".
@@ -89,15 +90,16 @@ class TestDesignExecutesCorrectly:
         tau0, deadline = 30.0, 2.0e5
         sol = solve_monolithic(RealTimeProblem(blast, tau0, deadline))
         trials = run_trials(
-            lambda seed: MonolithicSimulator(
-                blast,
-                sol.block_size,
-                FixedRateArrivals(tau0),
-                deadline,
-                6 * sol.block_size,
-                seed=seed,
+            MonolithicSimulator,
+            dict(
+                pipeline=blast,
+                block_size=sol.block_size,
+                arrivals=FixedRateArrivals(tau0),
+                deadline=deadline,
+                n_items=6 * sol.block_size,
             ),
             8,
+            strict=True,
         )
         assert trials.miss_free_fraction >= 0.95
 
@@ -107,15 +109,16 @@ class TestDesignExecutesCorrectly:
             RealTimeProblem(blast, tau0, deadline), B
         )
         trials = run_trials(
-            lambda seed: EnforcedWaitsSimulator(
-                blast,
-                sol.waits,
-                FixedRateArrivals(tau0),
-                deadline,
-                8000,
-                seed=seed,
+            EnforcedWaitsSimulator,
+            dict(
+                pipeline=blast,
+                waits=sol.waits,
+                arrivals=FixedRateArrivals(tau0),
+                deadline=deadline,
+                n_items=8000,
             ),
             5,
+            strict=True,
         )
         assert (trials.observed_b() <= B).all()
 

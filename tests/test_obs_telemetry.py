@@ -240,25 +240,25 @@ class TestExport:
 
     def test_trials_to_dict_records_outcomes(self, tiny_pipeline):
         from repro.experiments.export import trials_to_dict
-        from repro.sim.runner import run_trials
+        from repro.sim.campaign import run_trials
+        from repro.sim.faults import FaultPlan
 
-        def factory(seed):
-            if seed == 1:
-                raise RuntimeError("nope")
-            return EnforcedWaitsSimulator(
-                tiny_pipeline,
-                np.zeros(tiny_pipeline.n_nodes),
-                FixedRateArrivals(10.0),
-                1e6,
-                200,
-                seed=seed,
-            )
-
-        trials = run_trials(factory, 3, catch_failures=True)
+        trials = run_trials(
+            EnforcedWaitsSimulator,
+            dict(
+                pipeline=tiny_pipeline,
+                waits=np.zeros(tiny_pipeline.n_nodes),
+                arrivals=FixedRateArrivals(10.0),
+                deadline=1e6,
+                n_items=200,
+            ),
+            3,
+            faults=FaultPlan(crash_seeds=(1,)),
+        )
         d = trials_to_dict(trials)
         assert d["n_ok"] == 2
         assert d["n_failed"] == 1
         statuses = [o["status"] for o in d["outcomes"]]
         assert statuses == ["ok", "failed", "ok"]
         assert d["outcomes"][1]["metrics"] is None
-        assert "RuntimeError" in d["outcomes"][1]["error"]
+        assert "InjectedFault" in d["outcomes"][1]["error"]

@@ -1,4 +1,4 @@
-"""Tests for the parallel campaign runner."""
+"""Tests for the campaign runner, serial and over shard workers."""
 
 import os
 import time
@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from repro.arrivals.fixed import FixedRateArrivals
+from repro.arrivals.poisson import PoissonArrivals
 from repro.errors import CampaignError, SpecError
-from repro.sim.campaign import run_trials_parallel
+from repro.sim.campaign import _run_jobs, run_trials
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.faults import FaultPlan, InjectedFault
 from repro.sim.metrics import SimMetrics
 from repro.sim.monolithic import MonolithicSimulator
-from repro.sim.runner import run_trials
+from repro.sim.runner import normalize_seeds
+from tests.test_sim_differential_fuzz import assert_metrics_bit_identical
 
 
 def _dummy_metrics(seed: int) -> SimMetrics:
@@ -75,6 +77,39 @@ class NotMetricsSim:
         return {"not": "metrics"}
 
 
+class DiesOnceSim:
+    """Kills its worker the first time each seed runs, then succeeds.
+
+    A marker file per seed under ``marker_dir`` records the first run;
+    it is created before the process dies.
+    """
+
+    def __init__(self, *, marker_dir: str, seed: int = 0) -> None:
+        self.marker = os.path.join(marker_dir, f"seed-{seed}")
+        self.seed = seed
+
+    def run(self) -> SimMetrics:
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(17)
+        return _dummy_metrics(self.seed)
+
+
+def _count_process_starts(monkeypatch) -> list:
+    """Record every worker process started from now on."""
+    import multiprocessing
+
+    starts = []
+    start = multiprocessing.Process.start
+
+    def counting_start(proc):
+        starts.append(proc)
+        return start(proc)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    return starts
+
+
 @pytest.fixture(scope="module")
 def enforced_kwargs():
     from repro.apps.blast.pipeline import blast_pipeline
@@ -96,25 +131,18 @@ def enforced_kwargs():
 
 class TestSerialEquivalence:
     def test_matches_serial_runner(self, enforced_kwargs):
-        serial = run_trials(
-            lambda seed: EnforcedWaitsSimulator(**enforced_kwargs, seed=seed),
-            4,
-        )
-        parallel_serial = run_trials_parallel(
-            EnforcedWaitsSimulator, enforced_kwargs, 4, workers=1
-        )
-        assert [m.outputs for m in serial.metrics] == [
-            m.outputs for m in parallel_serial.metrics
+        direct = [
+            EnforcedWaitsSimulator(**enforced_kwargs, seed=seed).run()
+            for seed in range(4)
         ]
-        assert serial.mean_active_fraction == pytest.approx(
-            parallel_serial.mean_active_fraction, rel=1e-12
-        )
+        trials = run_trials(EnforcedWaitsSimulator, enforced_kwargs, 4)
+        assert trials.seeds == (0, 1, 2, 3)
+        for a, b in zip(direct, trials.metrics):
+            assert_metrics_bit_identical(a, b)
 
     def test_workers_give_identical_results(self, enforced_kwargs):
-        one = run_trials_parallel(
-            EnforcedWaitsSimulator, enforced_kwargs, 4, workers=1
-        )
-        many = run_trials_parallel(
+        one = run_trials(EnforcedWaitsSimulator, enforced_kwargs, 4)
+        many = run_trials(
             EnforcedWaitsSimulator, enforced_kwargs, 4, workers=2
         )
         assert [m.outputs for m in one.metrics] == [
@@ -124,6 +152,17 @@ class TestSerialEquivalence:
             m.mean_latency for m in many.metrics
         ]
 
+    def test_random_arrivals_match_serial_seed_for_seed(self, enforced_kwargs):
+        # Workers draw each seed's Poisson arrivals themselves, from the
+        # seed's own stream, so sharding cannot change a trial.
+        kwargs = dict(enforced_kwargs, arrivals=PoissonArrivals(20.0))
+        serial = run_trials(EnforcedWaitsSimulator, kwargs, 6)
+        sharded = run_trials(EnforcedWaitsSimulator, kwargs, 6, workers=2)
+        assert serial.all_ok and sharded.all_ok
+        assert [o.seed for o in sharded.outcomes] == list(range(6))
+        for a, b in zip(serial.metrics, sharded.metrics):
+            assert_metrics_bit_identical(a, b)
+
     def test_monolithic_class_supported(self, enforced_kwargs):
         kwargs = dict(
             pipeline=enforced_kwargs["pipeline"],
@@ -132,9 +171,7 @@ class TestSerialEquivalence:
             deadline=2e5,
             n_items=4000,
         )
-        trials = run_trials_parallel(
-            MonolithicSimulator, kwargs, [3, 7], workers=2
-        )
+        trials = run_trials(MonolithicSimulator, kwargs, [3, 7], workers=2)
         assert trials.seeds == (3, 7)
         assert trials.n_trials == 2
 
@@ -177,16 +214,7 @@ class TestCalibrationIntegration:
     def test_worker_starts_per_campaign_bounded_by_rounds_times_workers(
         self, monkeypatch
     ):
-        import multiprocessing
-
-        starts = []
-        start = multiprocessing.Process.start
-
-        def counting_start(proc):
-            starts.append(proc)
-            return start(proc)
-
-        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        starts = _count_process_starts(monkeypatch)
         result = _calibrate(GRID_TAU0S, GRID_DEADLINES, workers=2)
         assert 0 < len(starts) <= result.n_rounds * 2
 
@@ -299,30 +327,53 @@ class TestValidation:
     def test_seed_in_kwargs_rejected(self, enforced_kwargs):
         bad = dict(enforced_kwargs, seed=1)
         with pytest.raises(SpecError):
-            run_trials_parallel(EnforcedWaitsSimulator, bad, 2)
+            run_trials(EnforcedWaitsSimulator, bad, 2)
 
     def test_empty_seeds_rejected(self, enforced_kwargs):
         with pytest.raises(SpecError):
-            run_trials_parallel(EnforcedWaitsSimulator, enforced_kwargs, 0)
+            run_trials(EnforcedWaitsSimulator, enforced_kwargs, 0)
         with pytest.raises(SpecError):
-            run_trials_parallel(
+            run_trials(
                 EnforcedWaitsSimulator, enforced_kwargs, []
             )
 
     def test_negative_workers_rejected(self, enforced_kwargs):
         with pytest.raises(SpecError):
-            run_trials_parallel(
+            run_trials(
                 EnforcedWaitsSimulator, enforced_kwargs, 2, workers=-1
             )
 
     def test_non_picklable_kwarg_gives_clear_error(self):
         with pytest.raises(SpecError, match="picklable"):
-            run_trials_parallel(
+            run_trials(
                 FastSim, {"callback": lambda x: x}, 2, workers=2
             )
 
+    @pytest.mark.parametrize(
+        "seeds, expected",
+        [
+            (3, (0, 1, 2)),
+            (np.int64(3), (0, 1, 2)),
+            ([np.int32(4), 2], (4, 2)),
+            (np.arange(2), (0, 1)),
+            (True, SpecError),
+            ([1, False], SpecError),
+            ([1.9, 2], SpecError),
+            (2.0, SpecError),
+            (["1"], SpecError),
+            ([0, -1], SpecError),
+        ],
+    )
+    def test_seed_values_validated(self, seeds, expected):
+        if expected is SpecError:
+            with pytest.raises(SpecError, match="integers"):
+                normalize_seeds(seeds)
+        else:
+            assert normalize_seeds(seeds) == expected
+            assert all(type(s) is int for s in normalize_seeds(seeds))
+
     def test_wrong_metrics_type_names_both_classes(self):
-        trials = run_trials_parallel(NotMetricsSim, {}, [0], workers=2)
+        trials = run_trials(NotMetricsSim, {}, [0], workers=2)
         (outcome,) = trials.outcomes
         assert outcome.status == "failed"
         assert "NotMetricsSim" in outcome.error
@@ -331,7 +382,7 @@ class TestValidation:
 
 class TestFailurePaths:
     def test_crashing_simulator_captured(self):
-        trials = run_trials_parallel(CrashingSim, {}, [0, 1], workers=2)
+        trials = run_trials(CrashingSim, {}, [0, 1], workers=2)
         assert trials.n_attempted == 2
         assert trials.n_failed == 2
         assert trials.n_trials == 0
@@ -343,7 +394,7 @@ class TestFailurePaths:
             assert f"boom from seed {seed}" in outcome.error
 
     def test_worker_death_detected(self):
-        trials = run_trials_parallel(DyingSim, {}, [0], workers=2)
+        trials = run_trials(DyingSim, {}, [0], workers=2)
         (outcome,) = trials.outcomes
         assert outcome.status == "failed"
         assert "died without a result" in outcome.error
@@ -352,7 +403,7 @@ class TestFailurePaths:
     @pytest.mark.slow
     def test_hanging_trial_times_out(self):
         faults = FaultPlan(hang_seeds=(1,), hang_seconds=60.0)
-        trials = run_trials_parallel(
+        trials = run_trials(
             FastSim, {}, [0, 1, 2], workers=2, timeout=1.0, faults=faults
         )
         assert [o.status for o in trials.outcomes] == [
@@ -368,7 +419,7 @@ class TestFailurePaths:
 
     def test_serial_path_captures_injected_crash(self):
         faults = FaultPlan(crash_seeds=(1,))
-        trials = run_trials_parallel(
+        trials = run_trials(
             FastSim, {}, [0, 1, 2], workers=1, faults=faults
         )
         assert [o.status for o in trials.outcomes] == ["ok", "failed", "ok"]
@@ -376,7 +427,7 @@ class TestFailurePaths:
 
     def test_transient_crash_recovers_with_retries(self):
         faults = FaultPlan(transient_crashes={2: 2})
-        trials = run_trials_parallel(
+        trials = run_trials(
             FastSim,
             {},
             [0, 1, 2, 3],
@@ -391,7 +442,7 @@ class TestFailurePaths:
 
     def test_retries_exhausted_records_failure(self):
         faults = FaultPlan(transient_crashes={0: 5})
-        trials = run_trials_parallel(
+        trials = run_trials(
             FastSim, {}, [0], workers=2, retries=1, backoff=0.0, faults=faults
         )
         (outcome,) = trials.outcomes
@@ -401,13 +452,46 @@ class TestFailurePaths:
     def test_strict_mode_raises_with_partial_results(self):
         faults = FaultPlan(crash_seeds=(1,))
         with pytest.raises(CampaignError) as excinfo:
-            run_trials_parallel(
+            run_trials(
                 FastSim, {}, [0, 1, 2], workers=2, faults=faults, strict=True
             )
         result = excinfo.value.result
         assert result.n_trials == 2
         assert result.n_failed == 1
-        assert "seed 1" in str(excinfo.value)
+        assert "seed 1: failed" in str(excinfo.value)
+        assert "InjectedFault" in str(excinfo.value)
+
+    def test_hang_mid_shard_is_reaped_and_shard_restarts(self):
+        # Shards [0, 1, 2] and [3, 4, 5]: seed 1 hangs between two trials
+        # of its shard; seed 2 runs in a restarted shard.
+        faults = FaultPlan(hang_seeds=(1,), hang_seconds=60.0)
+        trials = run_trials(
+            FastSim, {}, 6, workers=2, timeout=0.5, faults=faults
+        )
+        assert [o.seed for o in trials.outcomes] == list(range(6))
+        assert [o.status for o in trials.outcomes] == [
+            "ok", "timed-out", "ok", "ok", "ok", "ok"
+        ]
+        assert trials.outcomes[1].duration >= 0.5
+        assert "timeout" in trials.outcomes[1].error
+
+    def test_dead_worker_trial_recovers_with_a_retry(self, tmp_path):
+        trials = run_trials(
+            DiesOnceSim,
+            {"marker_dir": str(tmp_path)},
+            [0, 1, 2],
+            workers=2,
+            retries=1,
+            backoff=0.0,
+        )
+        assert trials.all_ok
+        assert [o.attempts for o in trials.outcomes] == [2, 2, 2]
+
+    def test_no_failures_start_exactly_workers_processes(self, monkeypatch):
+        starts = _count_process_starts(monkeypatch)
+        trials = run_trials(FastSim, {}, 7, workers=2)
+        assert trials.all_ok
+        assert len(starts) == 2
 
     @pytest.mark.slow
     def test_acceptance_20_seed_campaign_with_injected_faults(self):
@@ -415,7 +499,7 @@ class TestFailurePaths:
         faults = FaultPlan(
             crash_seeds=(2, 7, 11), hang_seeds=(15,), hang_seconds=60.0
         )
-        trials = run_trials_parallel(
+        trials = run_trials(
             FastSim, {}, 20, workers=4, timeout=1.5, faults=faults
         )
         assert trials.seeds == tuple(range(20))
@@ -504,68 +588,49 @@ class TestFaultPlan:
 
 # -- sharded campaigns -------------------------------------------------------
 
-from repro.sim.campaign import run_trials_sharded  # noqa: E402
-
 
 class TestShardedCampaign:
     def test_matches_process_per_seed(self, enforced_kwargs):
-        baseline = run_trials_parallel(
-            EnforcedWaitsSimulator, enforced_kwargs, 6, workers=2
-        )
-        sharded = run_trials_sharded(
+        # A one-seed campaign with workers runs that seed in a process
+        # of its own.
+        per_seed = [
+            run_trials(EnforcedWaitsSimulator, enforced_kwargs, [s], workers=2)
+            for s in range(6)
+        ]
+        sharded = run_trials(
             EnforcedWaitsSimulator, enforced_kwargs, 6, workers=3
         )
         assert sharded.all_ok
-        for a, b in zip(sharded.outcomes, baseline.outcomes):
+        for a, (b,) in zip(sharded.outcomes, (r.outcomes for r in per_seed)):
             assert a.seed == b.seed
-            assert a.metrics.outputs == b.metrics.outputs
-            assert a.metrics.makespan == b.metrics.makespan
-            assert a.metrics.active_fraction == b.metrics.active_fraction
-            assert np.array_equal(
-                a.metrics.queue_hwm_vectors, b.metrics.queue_hwm_vectors
-            )
+            assert_metrics_bit_identical(a.metrics, b.metrics)
 
     def test_serial_path_matches_sharded(self, enforced_kwargs):
-        serial = run_trials_sharded(
+        serial = run_trials(
             EnforcedWaitsSimulator, enforced_kwargs, 4, workers=0
         )
-        sharded = run_trials_sharded(
+        sharded = run_trials(
             EnforcedWaitsSimulator, enforced_kwargs, 4, workers=2
         )
         assert [o.metrics.outputs for o in serial.outcomes] == [
             o.metrics.outputs for o in sharded.outcomes
         ]
 
-    def test_private_arrivals_match_shared(self, enforced_kwargs):
-        shared = run_trials_sharded(
-            EnforcedWaitsSimulator, enforced_kwargs, 4, workers=2
-        )
-        private = run_trials_sharded(
-            EnforcedWaitsSimulator,
-            enforced_kwargs,
-            4,
-            workers=2,
-            share_arrivals=False,
-        )
-        for a, b in zip(shared.outcomes, private.outcomes):
-            assert a.metrics.outputs == b.metrics.outputs
-            assert a.metrics.makespan == b.metrics.makespan
-
     def test_explicit_seed_list_preserves_order(self):
-        result = run_trials_sharded(FastSim, {}, [9, 3, 11], workers=2)
+        result = run_trials(FastSim, {}, [9, 3, 11], workers=2)
         assert [o.seed for o in result.outcomes] == [9, 3, 11]
         assert result.all_ok
 
     def test_seed_in_kwargs_rejected(self):
         with pytest.raises(SpecError, match="seeds argument"):
-            run_trials_sharded(FastSim, {"seed": 1}, 2)
+            run_trials(FastSim, {"seed": 1}, 2)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(SpecError, match="workers"):
-            run_trials_sharded(FastSim, {}, 2, workers=-1)
+            run_trials(FastSim, {}, 2, workers=-1)
 
     def test_crash_is_contained_per_seed(self):
-        result = run_trials_sharded(CrashingSim, {}, 4, workers=2)
+        result = run_trials(CrashingSim, {}, 4, workers=2)
         assert not result.all_ok
         assert len(result.failures) == 4
         for o in result.outcomes:
@@ -573,7 +638,7 @@ class TestShardedCampaign:
             assert "boom from seed" in o.error
 
     def test_dead_shard_seeds_recorded_as_failed(self):
-        result = run_trials_sharded(DyingSim, {}, 4, workers=2)
+        result = run_trials(DyingSim, {}, 4, workers=2)
         assert not result.all_ok
         for o in result.outcomes:
             assert o.status == "failed"
@@ -581,20 +646,16 @@ class TestShardedCampaign:
 
     def test_strict_raises_with_partial_result_attached(self):
         with pytest.raises(CampaignError) as exc_info:
-            run_trials_sharded(CrashingSim, {}, 3, workers=2, strict=True)
+            run_trials(CrashingSim, {}, 3, workers=2, strict=True)
         attached = exc_info.value.result
         assert len(attached.outcomes) == 3
 
     def test_unpicklable_kwargs_fail_early(self):
         with pytest.raises(SpecError, match="picklable"):
-            run_trials_sharded(
-                FastSim, {"cb": lambda: None}, 4, workers=2
-            )
+            run_trials(FastSim, {"cb": lambda: None}, 4, workers=2)
 
 
 # -- job-list runner ---------------------------------------------------------
-
-from repro.sim.campaign import _run_shards  # noqa: E402
 
 
 class ExitingSim:
@@ -620,28 +681,27 @@ class TestJobListRunner:
                 (2000, 40.0, 0), (1000, 30.0, 9),
             ]
         ]
-        serial = list(_run_shards(EnforcedWaitsSimulator, jobs, 1))
+        serial = list(_run_jobs(EnforcedWaitsSimulator, jobs))
         assert [i for i, _ in serial] == list(range(len(jobs)))
-        sharded = dict(_run_shards(EnforcedWaitsSimulator, jobs, 2))
+        sharded = dict(_run_jobs(EnforcedWaitsSimulator, jobs, workers=2))
         assert sorted(sharded) == list(range(len(jobs)))
         for i, a in serial:
             b = sharded[i]
             assert (a.seed, a.status) == (b.seed, b.status) == (jobs[i][1], "ok")
             assert a.metrics.n_items == b.metrics.n_items == jobs[i][0]["n_items"]
-            assert a.metrics.outputs == b.metrics.outputs
-            assert a.metrics.makespan == b.metrics.makespan
-            assert a.metrics.active_fraction == b.metrics.active_fraction
-            assert np.array_equal(
-                a.metrics.queue_hwm_vectors, b.metrics.queue_hwm_vectors
-            )
+            assert_metrics_bit_identical(a.metrics, b.metrics)
 
-    def test_dead_shard_fails_only_its_unfinished_jobs(self):
+    def test_dead_shard_fails_only_its_unfinished_jobs(self, monkeypatch):
         # Two shards: jobs 0-2 and jobs 3-5.  Job 4 kills its worker, so
-        # job 3 (already streamed back) stays ok and job 5 never runs.
+        # job 3 (already streamed back) stays ok, job 4 fails, and job 5
+        # runs in a restarted shard.
+        starts = _count_process_starts(monkeypatch)
         jobs = [({"die": i == 4}, i) for i in range(6)]
-        outcomes = dict(_run_shards(ExitingSim, jobs, 2))
+        outcomes = dict(_run_jobs(ExitingSim, jobs, workers=2))
         assert [outcomes[i].status for i in range(6)] == [
-            "ok", "ok", "ok", "ok", "failed", "failed"
+            "ok", "ok", "ok", "ok", "failed", "ok"
         ]
         assert "died without a result" in outcomes[4].error
+        assert "17" in outcomes[4].error
         assert [outcomes[i].seed for i in range(6)] == list(range(6))
+        assert len(starts) == 3
