@@ -1,17 +1,20 @@
-"""Machine-readable performance-regression harness.
+"""Legacy machine-readable benchmark scripts.
 
 Unlike the pytest-benchmark suites in ``benchmarks/bench_*.py`` (which
-time paper-artifact regeneration), this package measures the *simulator
-substrate itself* — engine event throughput, queue operation throughput,
-ledger recording, and end-to-end runs of the vectorized simulators
-against the frozen pre-vectorization references in
-:mod:`repro.sim.reference` — and writes the results as
-``BENCH_perf.json`` at the repository root.
+time paper-artifact regeneration), each module here runs one subsystem
+under load, gates on a correctness property, and writes one
+``BENCH_<name>.json`` at the repository root:
 
-Run from the repository root::
+- :mod:`benchmarks.perf.control` — learned control vs the planner;
+- :mod:`benchmarks.perf.plan_cache` — plan cache / warm-start speedups;
+- :mod:`benchmarks.perf.runtime` — live wall-clock executor runs;
+- :mod:`benchmarks.perf.serving` — the hardened serving layer;
+- :mod:`benchmarks.perf.tenancy` — multi-tenant co-scheduling.
 
-    python -m benchmarks.perf.run            # full scale (~100k items e2e)
-    python -m benchmarks.perf.run --smoke    # reduced scale for CI
+Run one from the repository root, e.g.::
 
-See ``docs/model.md`` for the output schema.
+    python -m benchmarks.perf.runtime --smoke
+
+``perfbench/`` is the harness that supersedes these scripts; see its
+README for the mapping of their fields onto perfbench metrics.
 """

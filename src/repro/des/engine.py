@@ -13,42 +13,13 @@ from repro.errors import SimulationError
 __all__ = ["Engine"]
 
 
-class _HeapQueue:
-    """Binary-heap event queue (the default)."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Event:
-        return self._heap[0]
-
-    def clear(self) -> None:
-        self._heap.clear()
-
-    def __iter__(self):
-        return iter(self._heap)
-
-
 class Engine:
     """Discrete-event simulation engine.
 
-    The engine owns a virtual clock (``now``) and an event queue — a
-    binary heap by default, or a calendar queue
-    (:class:`~repro.des.calendar_queue.CalendarQueue`) with
-    ``Engine(queue="calendar")`` for O(1)-amortized operation at large
-    event populations.  Callbacks scheduled with :meth:`schedule` run in
+    The engine owns a virtual clock (``now``) and a binary-heap event
+    queue.  Callbacks scheduled with :meth:`schedule` run in
     nondecreasing time order; ties break by ``priority`` then scheduling
-    order, so execution is fully deterministic (and identical across
-    queue implementations).
+    order, so execution is fully deterministic.
 
     Example
     -------
@@ -60,18 +31,9 @@ class Engine:
     [5.0]
     """
 
-    def __init__(self, *, queue: str = "heap") -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        if queue == "heap":
-            self._queue: Any = _HeapQueue()
-        elif queue == "calendar":
-            from repro.des.calendar_queue import CalendarQueue
-
-            self._queue = CalendarQueue()
-        else:
-            raise SimulationError(
-                f"queue must be 'heap' or 'calendar', got {queue!r}"
-            )
+        self._queue: list[Event] = []
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -117,7 +79,7 @@ class Engine:
             )
         event = Event(time=time, priority=priority, seq=self._seq, fn=fn)
         self._seq += 1
-        self._queue.push(event)
+        heapq.heappush(self._queue, event)
         return EventHandle(event)
 
     def schedule_after(
@@ -134,8 +96,8 @@ class Engine:
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
-        while len(self._queue):
-            event = self._queue.pop()
+        while self._queue:
+            event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
             self._now = event.time
@@ -156,28 +118,29 @@ class Engine:
         ----------
         until:
             Stop once the next event would fire strictly after this time;
-            the clock is advanced to ``until``.  ``None`` runs to exhaustion.
+            the clock is advanced to ``until``.  ``None`` runs to exhaustion;
+            NaN raises :class:`SimulationError`.
         max_events:
             Safety valve: raise :class:`SimulationError` after this many
             callbacks (guards against runaway self-scheduling processes).
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until time NaN")
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
         budget = math.inf if max_events is None else max_events
         wall_start = time.perf_counter()
         # The loop body is inlined (rather than delegating to step(),
-        # which would re-scan past cancelled events) and hoists the
-        # queue's bound methods: this loop is the simulator's innermost
-        # hot path.
+        # which would re-scan past cancelled events) and hoists the heap
+        # and heappop: this loop is the simulator's innermost hot path.
         queue = self._queue
-        peek = queue.peek
-        pop = queue.pop
+        pop = heapq.heappop
         try:
-            while len(queue):
-                top = peek()
+            while queue:
+                top = queue[0]
                 if top.cancelled:
-                    pop()
+                    pop(queue)
                     continue
                 if until is not None and top.time > until:
                     break
@@ -185,7 +148,7 @@ class Engine:
                     raise SimulationError(
                         f"event budget of {max_events} exhausted at t={self._now}"
                     )
-                pop()
+                pop(queue)
                 self._now = top.time
                 self._events_processed += 1
                 top.fn()

@@ -86,9 +86,6 @@ class AdaptiveWaitsSimulator:
     telemetry:
         When True, attach a :class:`~repro.obs.telemetry.RunTelemetry`
         as ``metrics.extra["telemetry"]``.
-    engine_queue:
-        Event-queue implementation: ``"heap"`` (default) or
-        ``"calendar"``.
     runtime_faults:
         Optional :class:`~repro.resilience.faults.RuntimeFaultPlan`
         injecting service spikes, node stalls, and arrival bursts.
@@ -117,7 +114,6 @@ class AdaptiveWaitsSimulator:
         slack_factor: float = 1.5,
         charge_empty_firings: bool = True,
         telemetry: bool = False,
-        engine_queue: str = "heap",
         max_events: int = 20_000_000,
         runtime_faults: RuntimeFaultPlan | None = None,
         queue_capacity: int | None = None,
@@ -161,7 +157,7 @@ class AdaptiveWaitsSimulator:
         self._watchdog = watchdog
 
         self.rng = RngRegistry(seed)
-        self.engine = Engine(queue=engine_queue)
+        self.engine = Engine()
         n = pipeline.n_nodes
         # Minimum downstream service from node i (inclusive) to the tail:
         # the deadline-aware shed policy's traversal estimate.

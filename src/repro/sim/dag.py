@@ -95,7 +95,6 @@ class DagEnforcedWaitsSimulator:
         charge_empty_firings: bool = True,
         start_offsets: np.ndarray | None = None,
         keep_latency_samples: bool = False,
-        engine_queue: str = "heap",
         max_events: int = 20_000_000,
     ) -> None:
         if not isinstance(graph, DataflowGraph):
@@ -141,7 +140,7 @@ class DagEnforcedWaitsSimulator:
         self.max_events = max_events
 
         self.rng = RngRegistry(seed)
-        self.engine = Engine(queue=engine_queue)
+        self.engine = Engine()
         self.queues = [
             ItemQueue(f"q{i}", dtype=np.int64) for i in range(n)
         ]

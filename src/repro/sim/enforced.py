@@ -131,11 +131,6 @@ class EnforcedWaitsSimulator:
         ``metrics.extra["telemetry"]``.  Collection is passive: it never
         touches the RNG or the event queue, so results are bit-identical
         with or without it.
-    engine_queue:
-        Event-queue implementation for the DES engine: ``"heap"``
-        (default) or ``"calendar"``.  Results are identical; at 200k
-        events the heap measured 784k events/s against the calendar
-        queue's 665k (``BENCH_compiled.json``).
     runtime_faults:
         Optional :class:`~repro.resilience.faults.RuntimeFaultPlan` of
         in-simulation faults (see the module docstring).
@@ -155,7 +150,7 @@ class EnforcedWaitsSimulator:
         this simulator co-schedules on the caller's virtual timeline
         (multi-tenant mode, :mod:`repro.tenancy.sim`): the caller arms
         it with :meth:`prepare`, runs the engine itself, and collects
-        metrics with :meth:`finalize`.  ``engine_queue`` is ignored.
+        metrics with :meth:`finalize`.
     """
 
     def __init__(
@@ -173,7 +168,6 @@ class EnforcedWaitsSimulator:
         keep_latency_samples: bool = False,
         trace: TraceRecorder | None = None,
         telemetry: bool = False,
-        engine_queue: str = "heap",
         max_events: int = 20_000_000,
         runtime_faults: RuntimeFaultPlan | None = None,
         queue_capacity: int | None = None,
@@ -227,7 +221,7 @@ class EnforcedWaitsSimulator:
         # on one virtual timeline (see repro.tenancy.sim); the owner of a
         # shared engine drives it via prepare()/finalize() instead of run().
         self._owns_engine = engine is None
-        self.engine = Engine(queue=engine_queue) if engine is None else engine
+        self.engine = Engine() if engine is None else engine
         n = pipeline.n_nodes
         # Minimum downstream service from node i (inclusive) to the tail:
         # the deadline-aware shed policy's traversal estimate.

@@ -14,14 +14,11 @@ production simulators had before the vectorization pass:
   :class:`ReferenceMonolithicSimulator` — the simulators with one heap
   event + lambda per arrival and per-firing tracker updates.
 
-They exist for two purposes and must not be "improved":
-
-1. the seed-for-seed equivalence suite pins the vectorized simulators'
-   :class:`~repro.sim.metrics.SimMetrics` bit-for-bit against these
-   implementations (``tests/test_sim_equivalence.py``);
-2. the perf-regression harness (``benchmarks/perf``) measures the
-   vectorized/reference wall-clock speedup recorded in
-   ``BENCH_perf.json``.
+They exist as an oracle and must not be "improved": the seed-for-seed
+equivalence suite pins the vectorized simulators'
+:class:`~repro.sim.metrics.SimMetrics` bit-for-bit against these
+implementations (``tests/test_sim_equivalence.py`` and
+``tests/test_sim_differential_fuzz.py``).
 
 The tied-timestamp regression test also uses
 :class:`ReferenceLatencyLedger` to demonstrate the identity bug that the
@@ -195,8 +192,7 @@ class ReferenceEnforcedSimulator:
     """Pre-vectorization enforced-waits simulator (one event per arrival).
 
     Parameters are those of
-    :class:`~repro.sim.enforced.EnforcedWaitsSimulator` (including
-    ``engine_queue``, added to both for the equivalence matrix).
+    :class:`~repro.sim.enforced.EnforcedWaitsSimulator`.
     """
 
     def __init__(
@@ -214,7 +210,6 @@ class ReferenceEnforcedSimulator:
         keep_latency_samples: bool = False,
         trace: TraceRecorder | None = None,
         telemetry: bool = False,
-        engine_queue: str = "heap",
         max_events: int = 20_000_000,
     ) -> None:
         waits = np.asarray(waits, dtype=float)
@@ -250,7 +245,7 @@ class ReferenceEnforcedSimulator:
         self.max_events = max_events
 
         self.rng = RngRegistry(seed)
-        self.engine = Engine(queue=engine_queue)
+        self.engine = Engine()
         n = pipeline.n_nodes
         self.queues = [ReferenceItemQueue(f"q{i}") for i in range(n)]
         self.trackers = [
@@ -494,7 +489,6 @@ class ReferenceAdaptiveSimulator:
         slack_factor: float = 1.5,
         charge_empty_firings: bool = True,
         telemetry: bool = False,
-        engine_queue: str = "heap",
         max_events: int = 20_000_000,
     ) -> None:
         waits = np.asarray(waits, dtype=float)
@@ -525,7 +519,7 @@ class ReferenceAdaptiveSimulator:
         self.max_events = max_events
 
         self.rng = RngRegistry(seed)
-        self.engine = Engine(queue=engine_queue)
+        self.engine = Engine()
         n = pipeline.n_nodes
         self.queues = [ReferenceItemQueue(f"q{i}") for i in range(n)]
         self.ledger = ReferenceLatencyLedger(deadline)

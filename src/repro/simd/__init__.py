@@ -16,13 +16,7 @@ of up to ``v`` items in fixed service time ``t_i``.
   sharing (GPS) model used as an ablation of that idealization.
 """
 
-from repro.simd.backend import (
-    Backend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.simd.backend import Backend, get_backend, use_backend
 from repro.simd.device import SimdDevice
 from repro.simd.lanes import (
     lane_occupancies,
@@ -39,9 +33,7 @@ from repro.simd.sharing import (
 
 __all__ = [
     "Backend",
-    "available_backends",
     "get_backend",
-    "set_backend",
     "use_backend",
     "SimdDevice",
     "vectors_needed",

@@ -138,7 +138,6 @@ class MultiTenantSimulator:
         capacity: float = 1.0,
         max_scale: float = 64.0,
         qos_queues: bool = True,
-        engine_queue: str = "heap",
         max_events: int = 50_000_000,
     ) -> None:
         if not tenants:
@@ -150,7 +149,6 @@ class MultiTenantSimulator:
         self.capacity = float(capacity)
         self.max_scale = float(max_scale)
         self.qos_queues = bool(qos_queues)
-        self.engine_queue = engine_queue
         self.max_events = int(max_events)
         self._ran = False
 
@@ -170,7 +168,7 @@ class MultiTenantSimulator:
             demand_map, capacity=self.capacity, max_scale=self.max_scale
         )
 
-        engine = Engine(queue=self.engine_queue)
+        engine = Engine()
         sims: dict[str, EnforcedWaitsSimulator] = {}
         for t in self.tenants:
             scale = scales[t.name]

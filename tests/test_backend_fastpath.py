@@ -1,15 +1,15 @@
 """Backend seam + hot-loop kernels + fast-path authenticity.
 
-Three layers of the compiled-backend stack:
+Three layers of the fast-path stack:
 
 - :mod:`repro.simd.backend` — selection, the ``REPRO_BACKEND`` override,
-  degradation when a requested backend is unavailable;
-- :mod:`repro.des.hotloop` — the dispatched kernels against literal
+  rejection of unknown (and retired) backend names;
+- :mod:`repro.des.hotloop` — the NumPy kernels against literal
   one-step-at-a-time loop references (bit-identical, not approximate);
-- the enforced-waits fast path — that it *actually* runs under fast
-  backends (``engine.events_processed == 0`` is the tell), that forcing
-  ``python`` authentically runs the event loop, and that both produce
-  bit-identical metrics on randomized pipelines (property-based).
+- the enforced-waits fast path — that it *actually* runs under the
+  ``vector`` backend (``engine.events_processed == 0`` is the tell), that
+  forcing ``python`` authentically runs the event loop, and that both
+  produce bit-identical metrics on randomized pipelines (property-based).
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.des.hotloop import consumed_scan, firing_schedule, ragged_gather
 from repro.errors import SimulationError, SpecError
 from repro.sim.enforced import EnforcedWaitsSimulator
-from repro.simd.backend import (
-    available_backends,
-    get_backend,
-    numba_available,
-    set_backend,
-    use_backend,
-)
+from repro.simd.backend import get_backend, use_backend
 
 
 @pytest.fixture(autouse=True)
@@ -50,23 +44,33 @@ def _restore_backend():
 
 
 class TestBackendSelection:
-    def test_auto_resolves_to_an_available_backend(self):
-        be = set_backend("auto")
-        assert be.name in available_backends()
-        assert be.requested == "auto"
-        assert be.name != "auto"
-
     def test_explicit_choices_resolve(self):
-        assert set_backend("vector").name == "vector"
-        assert set_backend("python").name == "python"
-        assert not set_backend("python").fastpath
-        assert set_backend("vector").fastpath
+        with use_backend("vector") as be:
+            assert be.name == "vector"
+            assert be.fastpath
+        with use_backend("python") as be:
+            assert be.name == "python"
+            assert not be.fastpath
 
     def test_unknown_name_raises_spec_error(self):
         with pytest.raises(SpecError, match="REPRO_BACKEND"):
-            set_backend("cuda")
+            with use_backend("cuda"):
+                pass
+
+    def test_retired_names_raise_spec_error(self, monkeypatch):
+        for name in ("numba", "auto"):
+            with pytest.raises(SpecError, match="REPRO_BACKEND"):
+                with use_backend(name):
+                    pass
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            backend_mod._active = None
+            with pytest.raises(SpecError, match="REPRO_BACKEND"):
+                get_backend()
 
     def test_env_var_drives_first_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        backend_mod._active = None
+        assert get_backend().name == "vector"  # the default
         monkeypatch.setenv("REPRO_BACKEND", "python")
         backend_mod._active = None
         assert get_backend().name == "python"
@@ -75,7 +79,7 @@ class TestBackendSelection:
         assert get_backend().name == "vector"
 
     def test_use_backend_restores_previous(self):
-        set_backend("vector")
+        backend_mod._active = backend_mod.Backend("vector")
         with use_backend("python") as be:
             assert be.name == "python"
             assert get_backend().name == "python"
@@ -85,24 +89,6 @@ class TestBackendSelection:
             with use_backend("python"):
                 raise RuntimeError("boom")
         assert get_backend().name == "vector"
-
-    def test_available_backends_always_include_fallbacks(self):
-        names = available_backends()
-        assert "vector" in names and "python" in names
-
-    @pytest.mark.skipif(
-        numba_available(), reason="needs an environment without numba"
-    )
-    def test_requesting_missing_numba_degrades_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            be = set_backend("numba")
-        assert be.name == "vector"
-        assert be.requested == "numba"
-        assert not be.compiled
-
-    def test_demote_is_a_noop_off_numba(self):
-        set_backend("vector")
-        assert backend_mod.demote_backend("test").name == "vector"
 
 
 # -- hot-loop kernels vs literal loop references ----------------------------
@@ -274,11 +260,8 @@ def _assert_same_metrics(ma, mb):
 
 
 class TestFastPathAuthenticity:
-    @pytest.mark.parametrize(
-        "backend", [b for b in available_backends() if b != "python"]
-    )
-    def test_fast_backends_skip_the_event_loop(self, backend):
-        with use_backend(backend):
+    def test_vector_backend_skips_the_event_loop(self):
+        with use_backend("vector"):
             sim, _ = _run()
         assert sim.engine.events_processed == 0
 
@@ -287,11 +270,8 @@ class TestFastPathAuthenticity:
             sim, _ = _run()
         assert sim.engine.events_processed > 0
 
-    @pytest.mark.parametrize(
-        "backend", [b for b in available_backends() if b != "python"]
-    )
-    def test_forced_fallback_is_bit_identical(self, backend):
-        with use_backend(backend):
+    def test_forced_fallback_is_bit_identical(self):
+        with use_backend("vector"):
             fast_sim, fast = _run()
         with use_backend("python"):
             slow_sim, slow = _run()

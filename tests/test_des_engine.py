@@ -95,6 +95,18 @@ class TestRunControls:
         eng.run()  # remaining event still fires later
         assert fired == [1, 2]
 
+    def test_run_until_nan_raises(self):
+        eng = Engine()
+        fired = []
+        for t in (1.0, 4.0, 9.0):
+            eng.schedule(t, lambda t=t: fired.append(t))
+        with pytest.raises(SimulationError, match="NaN"):
+            eng.run(until=float("nan"))
+        assert fired == []
+        assert eng.now == 0.0
+        eng.run()  # the engine stays usable
+        assert fired == [1.0, 4.0, 9.0]
+
     def test_max_events_guard(self):
         eng = Engine()
 

@@ -1,9 +1,7 @@
 """Small consistency checks across the package surface."""
 
 import numpy as np
-import pytest
 
-from repro.des.engine import Engine
 from repro.solvers.result import SolverResult, SolverStatus
 
 
@@ -68,30 +66,3 @@ class TestPublicApi:
         match = re.search(r'^version = "([^"]+)"', text, re.MULTILINE)
         assert match is not None
         assert repro.__version__ == match.group(1)
-
-
-class TestEngineCalendarParity:
-    def test_until_semantics_match(self):
-        results = {}
-        for kind in ("heap", "calendar"):
-            eng = Engine(queue=kind)
-            fired = []
-            for t in (1.0, 4.0, 9.0):
-                eng.schedule(t, lambda t=t: fired.append(t))
-            eng.run(until=5.0)
-            results[kind] = (list(fired), eng.now)
-            eng.run()
-            results[kind + "_final"] = list(fired)
-        assert results["heap"] == results["calendar"] == ([1.0, 4.0], 5.0)
-        assert results["heap_final"] == results["calendar_final"]
-
-    def test_cancellation_matches(self):
-        for kind in ("heap", "calendar"):
-            eng = Engine(queue=kind)
-            fired = []
-            keep = eng.schedule(2.0, lambda: fired.append("keep"))
-            drop = eng.schedule(1.0, lambda: fired.append("drop"))
-            drop.cancel()
-            eng.run()
-            assert fired == ["keep"], kind
-            assert keep.cancelled is False

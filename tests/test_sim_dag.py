@@ -17,7 +17,7 @@ from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.errors import SimulationError, SpecError
 from repro.sim.dag import DagEnforcedWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
-from repro.simd.backend import available_backends, use_backend
+from repro.simd.backend import use_backend
 
 SCALAR_FIELDS = (
     "strategy",
@@ -82,7 +82,7 @@ class TestChainEquivalence:
     metrics, on every execution backend."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("backend", list(available_backends()))
+    @pytest.mark.parametrize("backend", ["vector", "python"])
     def test_bitwise_equal_to_chain_simulator(self, seed, backend):
         waits = np.asarray([3.0, 2.0, 1.5])
         kw = dict(
