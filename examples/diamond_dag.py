@@ -13,7 +13,8 @@ exercises the DAG generalization end to end on a diamond topology —
 1. **Plan**: per-edge chain-stability constraints and per-sink path
    deadlines (`repro.core.dag`), solved with the same interior-point
    machinery as the chain case.
-2. **Validate**: the DAG discrete-event simulator (`repro.sim.dag`)
+2. **Validate**: the enforced-waits discrete-event simulator
+   (`repro.sim.enforced`, which takes a graph as readily as a chain)
    replays the planned operating point; the acceptance bar is zero
    deadline misses, scored per sink.
 3. **Run live**: `PipelineExecutor.from_graph` executes the same graph
@@ -38,7 +39,7 @@ from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.spec import NodeSpec
 from repro.runtime.executor import PipelineExecutor
 from repro.runtime.kernels import SpinKernel
-from repro.sim.dag import DagEnforcedWaitsSimulator
+from repro.sim.enforced import EnforcedWaitsSimulator
 
 V = 8  # SIMD vector width
 TAU0 = 0.02  # inter-arrival time (seconds): one item every 20 ms
@@ -80,7 +81,7 @@ def main() -> None:
     print()
 
     # -- 2. Validate by simulation at the planned point -------------------
-    sim = DagEnforcedWaitsSimulator(
+    sim = EnforcedWaitsSimulator(
         graph,
         sol.waits_by_name,
         arrivals=FixedRateArrivals(TAU0),

@@ -21,7 +21,8 @@ successors) and fan-in (several streams merging into one node).
 A graph that is in fact a chain can be certified and converted to a
 :class:`~repro.dataflow.spec.PipelineSpec` with :meth:`as_chain`, which
 the chain-only optimizers in :mod:`repro.core` require; the DAG
-optimizer (:mod:`repro.core.dag`) consumes the graph directly.
+optimizer (:mod:`repro.core.dag`) and the enforced-waits simulator
+(:mod:`repro.sim.enforced`) consume the graph directly.
 """
 
 from __future__ import annotations

@@ -178,12 +178,14 @@ def trials_to_dict(trials: TrialsResult) -> dict:
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:
-    """A :class:`SimMetrics` as a JSON-ready dict (ledger omitted).
+    """A :class:`SimMetrics` as a JSON-ready dict (ledgers omitted).
 
     A collected :class:`RunTelemetry` in ``extra["telemetry"]`` is
     serialized through :func:`telemetry_to_dict`.
     """
-    extra = {k: v for k, v in metrics.extra.items() if k != "ledger"}
+    extra = {
+        k: v for k, v in metrics.extra.items() if k not in ("ledger", "sinks")
+    }
     if isinstance(extra.get("telemetry"), RunTelemetry):
         extra["telemetry"] = telemetry_to_dict(extra["telemetry"])
     return _jsonable(

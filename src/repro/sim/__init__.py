@@ -6,7 +6,7 @@ long stream of simulated inputs using either of our two strategies and
 determining how many inputs, if any, incur a deadline miss."
 
 - :class:`~repro.sim.enforced.EnforcedWaitsSimulator` — per-node periodic
-  firings with enforced waits ``w_i``.
+  firings with enforced waits ``w_i``, on a chain or a dataflow DAG.
 - :class:`~repro.sim.monolithic.MonolithicSimulator` — whole-pipeline block
   processing with block size ``M``.
 - :mod:`~repro.sim.metrics` — per-run metrics (active fraction, latency
@@ -20,7 +20,6 @@ determining how many inputs, if any, incur a deadline miss."
 from repro.sim.metrics import LatencyLedger, SimMetrics
 from repro.sim.adaptive import AdaptiveWaitsSimulator
 from repro.sim.campaign import run_trials
-from repro.sim.dag import DagEnforcedWaitsSimulator
 from repro.sim.enforced import EnforcedWaitsSimulator
 from repro.sim.faults import FaultPlan, InjectedFault
 from repro.sim.monolithic import MonolithicSimulator
@@ -35,7 +34,6 @@ __all__ = [
     "SimMetrics",
     "LatencyLedger",
     "AdaptiveWaitsSimulator",
-    "DagEnforcedWaitsSimulator",
     "EnforcedWaitsSimulator",
     "MonolithicSimulator",
     "FaultPlan",

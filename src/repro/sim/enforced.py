@@ -3,9 +3,20 @@
 Each node runs a fire/complete/wait cycle: at a firing start it consumes up
 to ``v`` items from its input queue; the firing occupies the node for its
 service time (under the chosen timing model); on completion each consumed
-item's sampled gain emits outputs downstream (or out of the pipeline at the
-tail); the node then waits exactly ``w_i`` before its next firing,
+item's sampled gain emits outputs downstream (or out of the pipeline at a
+sink); the node then waits exactly ``w_i`` before its next firing,
 regardless of queue contents — the paper's *enforced wait* (Section 4).
+
+The application is either a linear :class:`~repro.dataflow.spec.PipelineSpec`
+or a validated single-source :class:`~repro.dataflow.graph.DataflowGraph`;
+a chain is a graph with one path, and both run through the same code.
+Nodes are indexed in topological order (a chain's node order).  Each
+node routes a completion through its channel table, one
+``(destination or sink exit, gain, RNG stream)`` entry per out-edge: a
+firing's consumed items are replicated along every out-edge, each edge
+sampling its own gain, and a fan-in node's queue merges the pushes of
+all its predecessors.  A chain's table is built straight from the
+``PipelineSpec``.
 
 Under the default :class:`~repro.simd.sharing.IdealizedSharing` timing the
 inter-firing period is exactly ``t_i + w_i``, matching the optimizer's
@@ -13,21 +24,38 @@ model; the GPS timing models (ablation A1) let firing durations depend on
 concurrent activity.
 
 Event ordering at equal virtual times is: arrivals first, then firing
-completions, then firing starts — so an item arriving at ``t`` is visible
-to a node firing at ``t``, and outputs completing at ``t`` reach a
-downstream node that also fires at ``t``.
+completions in topological order of the completing node, then firing
+starts — so an item arriving at ``t`` is visible to a node firing at
+``t``, outputs completing at ``t`` reach a downstream node that also
+fires at ``t``, and a fan-in queue receives same-time pushes in
+predecessor order (a total order the fast path reproduces with a stable
+merge).  On a chain, same-time completions of different nodes touch
+disjoint queues, so the rank changes no queue state there; only the
+watchdog, whose degraded flag every node reads, sees a sink exit after
+the same-instant upstream completions.
+
+**RNG stream identity.**  A node with out-degree <= 1 samples on the
+stream ``node{i}.gain`` (``i`` its topological index), sinks included;
+only fan-out nodes use per-edge streams ``edge{i}->{j}.gain``.  A
+chain-shaped graph therefore replays the ``PipelineSpec`` run's exact
+draws and simulates bit-identically to it.
+
+**Per-sink ledgers.**  ``metrics.extra["sinks"]`` maps every sink to its
+own :class:`~repro.sim.metrics.LatencyLedger`, alongside the global
+ledger that scores an item as missed when any output is late at any
+sink.  With a single sink the entry *is* the global ledger.
 
 Chunked arrivals
 ----------------
 Arrivals are *not* scheduled as one heap event + closure per item.  The
-sorted arrival-time array is kept aside with a cursor, and the head
-node's firing handler — the only observer of the head queue — drains
-every not-yet-enqueued arrival with timestamp ``<= now`` in one
-``push_many`` before popping its input vector.  Because arrivals at
-``t`` outrank a firing at ``t`` (priority ordering above), this is
-observationally identical to per-item arrival events: every firing sees
-exactly the same queue state, so the simulation is bit-identical to the
-per-item reference implementation
+sorted arrival-time array is kept aside with a cursor, and the source
+node's firing handler — the only observer of its queue — drains every
+not-yet-enqueued arrival with timestamp ``<= now`` in one ``push_many``
+before popping its input vector.  Because arrivals at ``t`` outrank a
+firing at ``t`` (priority ordering above), this is observationally
+identical to per-item arrival events: every firing sees exactly the same
+queue state, so the simulation is bit-identical to the per-item
+reference implementation
 (:class:`~repro.sim.reference.ReferenceEnforcedSimulator`) — only the
 engine's ``events_processed`` count drops (by one event per item).
 Telemetry and trace hooks replay the per-arrival observations with the
@@ -37,15 +65,15 @@ are emitted at drain time), but every record carries its true timestamp.
 
 Items are identified by integer ids (their index in the arrival stream),
 which the queues carry end-to-end; origin timestamps are looked up by id
-at the pipeline tail.  This keeps deadline accounting correct when
-distinct items share an arrival timestamp (ties are allowed by the
-arrival contract).
+at the sinks.  This keeps deadline accounting correct when distinct
+items share an arrival timestamp (ties are allowed by the arrival
+contract).
 
 Degraded-mode runtime (opt-in)
 ------------------------------
 Four keyword arguments enable the resilience layer
-(:mod:`repro.resilience`); all default to disabled, and the disabled
-path is bit-identical to the plain simulator (pinned by
+(:mod:`repro.resilience`) on any graph; all default to disabled, and the
+disabled path is bit-identical to the plain simulator (pinned by
 ``tests/test_sim_equivalence.py``):
 
 - ``runtime_faults`` — a :class:`~repro.resilience.faults.RuntimeFaultPlan`
@@ -53,25 +81,32 @@ path is bit-identical to the plain simulator (pinned by
   the planned rate, all deterministic per seed.
 - ``queue_capacity`` + ``shed_policy`` — bound every inter-node queue
   and shed on overflow instead of raising; shed items are accounted as
-  deadline misses in the :class:`~repro.sim.metrics.LatencyLedger` and
-  as ``queue_shed`` in telemetry.
+  deadline misses in the global
+  :class:`~repro.sim.metrics.LatencyLedger` and as ``queue_shed`` in
+  telemetry.  The deadline-aware policy estimates the service still
+  ahead of a queued item as the minimum total service from its node to
+  any sink.
 - ``watchdog`` — a :class:`~repro.resilience.watchdog.DeadlineWatchdog`
-  that zeroes the enforced waits while slack erodes and restores them
-  (with hysteresis) once the backlog drains; degraded intervals land in
-  ``metrics.extra["resilience"]`` and telemetry.
+  that zeroes the enforced waits while slack erodes (observed at every
+  sink exit) and restores them (with hysteresis) once the backlog
+  drains; degraded intervals land in ``metrics.extra["resilience"]``
+  and telemetry.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Mapping
 from functools import partial
 
 import numpy as np
 
 from repro.arrivals.base import ArrivalProcess
+from repro.dataflow.gains import GainDistribution
+from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.queues import ItemQueue
-from repro.dataflow.spec import PipelineSpec
+from repro.dataflow.spec import NodeSpec, PipelineSpec
 from repro.des.engine import Engine
 from repro.des.events import EventHandle
 from repro.des.rng import RngRegistry
@@ -88,25 +123,72 @@ from repro.simd.sharing import IdealizedSharing, TimingModel, WorkConservingShar
 
 __all__ = ["EnforcedWaitsSimulator"]
 
-_PRIO_ARRIVAL = -1
-_PRIO_COMPLETE = 0
-_PRIO_FIRE = 1
+#: A node's output channel: destination topological index (``None`` for
+#: a sink exit), gain distribution, RNG stream name.
+_Channel = tuple[int | None, GainDistribution, str]
+
+
+def _topology(
+    pipeline: PipelineSpec | DataflowGraph,
+) -> tuple[tuple[NodeSpec, ...], list[list[_Channel]]]:
+    """Node specs in topological order and each node's channel table.
+
+    A chain's table comes straight from the ``PipelineSpec``; a graph is
+    validated and ordered first.  Channels are in destination
+    topological order; out-degree <= 1 keeps the ``node{i}.gain`` stream
+    (see the module docstring).
+    """
+    if isinstance(pipeline, PipelineSpec):
+        n = pipeline.n_nodes
+        return pipeline.nodes, [
+            [(i + 1 if i + 1 < n else None, node.gain, f"node{i}.gain")]
+            for i, node in enumerate(pipeline.nodes)
+        ]
+    if not isinstance(pipeline, DataflowGraph):
+        raise SpecError(
+            "pipeline must be a PipelineSpec or a DataflowGraph, got "
+            f"{type(pipeline).__name__}"
+        )
+    pipeline.validate()
+    order = pipeline.topological_order()
+    pos = {name: i for i, name in enumerate(order)}
+    channels: list[list[_Channel]] = []
+    for i, name in enumerate(order):
+        succs = pipeline.successors(name)
+        if not succs:
+            channels.append([(None, pipeline.spec(name).gain, f"node{i}.gain")])
+        elif len(succs) == 1:
+            channels.append([
+                (pos[succs[0]], pipeline.edge_gain(name, succs[0]),
+                 f"node{i}.gain")
+            ])
+        else:
+            channels.append([
+                (pos[s], pipeline.edge_gain(name, s), f"edge{i}->{pos[s]}.gain")
+                for s in succs
+            ])
+    return tuple(pipeline.spec(name) for name in order), channels
 
 
 class EnforcedWaitsSimulator:
-    """Simulate a pipeline under per-node enforced waits.
+    """Simulate a pipeline or dataflow DAG under per-node enforced waits.
 
     Parameters
     ----------
     pipeline:
-        The application.
+        The application: a :class:`~repro.dataflow.spec.PipelineSpec`
+        chain or a :class:`~repro.dataflow.graph.DataflowGraph`
+        (validated on construction: single source, acyclic, connected).
     waits:
-        Enforced waits ``w_i >= 0`` (typically from
-        :func:`repro.core.enforced_waits.solve_enforced_waits`).
+        Enforced waits ``w_i >= 0``, finite: an array in topological
+        order (a chain's node order), or a ``{name: wait}`` mapping
+        naming every node (typically from
+        :func:`repro.core.enforced_waits.solve_enforced_waits` or
+        :meth:`repro.core.dag.DagEnforcedWaitsSolution.waits_by_name`).
     arrivals:
         The input stream process.
     deadline:
-        Per-item latency bound ``D``.
+        Per-item latency bound ``D > 0``; ``inf`` means no deadline.
     n_items:
         Stream length.
     seed:
@@ -120,9 +202,10 @@ class EnforcedWaitsSimulator:
         ``"gps-capped"`` (GPS with per-node share cap 1/N, which must
         reproduce idealized timing exactly — used as a consistency check).
     start_offsets:
-        Optional per-node times of the *first* firing (default all zero).
-        Phases do not affect the active fraction but do affect latency;
-        see :func:`repro.core.offsets.aligned_offsets`.
+        Optional finite per-node times of the *first* firing (default
+        all zero), topological order.  Phases do not affect the active
+        fraction but do affect latency; see
+        :func:`repro.core.offsets.aligned_offsets`.
     trace:
         Optional :class:`~repro.des.trace.TraceRecorder`.
     telemetry:
@@ -155,8 +238,8 @@ class EnforcedWaitsSimulator:
 
     def __init__(
         self,
-        pipeline: PipelineSpec,
-        waits: np.ndarray,
+        pipeline: PipelineSpec | DataflowGraph,
+        waits: np.ndarray | Mapping[str, float],
         arrivals: ArrivalProcess,
         deadline: float,
         n_items: int,
@@ -175,27 +258,36 @@ class EnforcedWaitsSimulator:
         watchdog: DeadlineWatchdog | None = None,
         engine: Engine | None = None,
     ) -> None:
+        specs, channels = _topology(pipeline)
+        n = len(specs)
+        self.order: tuple[str, ...] = tuple(node.name for node in specs)
+        if isinstance(waits, Mapping):
+            unknown = [name for name in waits if name not in self.order]
+            if unknown:
+                raise SpecError(f"waits mapping names unknown nodes {unknown}")
+            missing = [name for name in self.order if name not in waits]
+            if missing:
+                raise SpecError(f"waits mapping is missing nodes {missing}")
+            waits = [waits[name] for name in self.order]
         waits = np.asarray(waits, dtype=float)
-        if waits.shape != (pipeline.n_nodes,):
-            raise SpecError(
-                f"waits must have length {pipeline.n_nodes}, got {waits.shape}"
-            )
-        if (waits < 0).any():
-            raise SpecError("waits must be >= 0")
+        if waits.shape != (n,):
+            raise SpecError(f"waits must have length {n}, got {waits.shape}")
+        if not (np.isfinite(waits) & (waits >= 0)).all():
+            raise SpecError(f"waits must be finite and >= 0, got {waits}")
         if n_items < 1:
             raise SpecError(f"n_items must be >= 1, got {n_items}")
-        if deadline <= 0:
+        if not deadline > 0:
             raise SpecError(f"deadline must be > 0, got {deadline}")
         if start_offsets is None:
-            start_offsets = np.zeros(pipeline.n_nodes)
+            start_offsets = np.zeros(n)
         else:
             start_offsets = np.asarray(start_offsets, dtype=float)
-            if start_offsets.shape != (pipeline.n_nodes,):
+            if start_offsets.shape != (n,):
+                raise SpecError(f"start_offsets must have length {n}")
+            if not (np.isfinite(start_offsets) & (start_offsets >= 0)).all():
                 raise SpecError(
-                    f"start_offsets must have length {pipeline.n_nodes}"
+                    f"start_offsets must be finite and >= 0, got {start_offsets}"
                 )
-            if (start_offsets < 0).any():
-                raise SpecError("start_offsets must be >= 0")
         self.start_offsets = start_offsets
 
         self.pipeline = pipeline
@@ -222,13 +314,14 @@ class EnforcedWaitsSimulator:
         # shared engine drives it via prepare()/finalize() instead of run().
         self._owns_engine = engine is None
         self.engine = Engine() if engine is None else engine
-        n = pipeline.n_nodes
-        # Minimum downstream service from node i (inclusive) to the tail:
-        # the deadline-aware shed policy's traversal estimate.
-        service = pipeline.service_times
-        self._downstream_service = np.asarray(
-            [float(service[i:].sum()) for i in range(n)]
-        )
+        v = pipeline.vector_width
+        # Minimum service from node i (inclusive) to any sink: the
+        # deadline-aware shed policy's traversal estimate.
+        downstream = [0.0] * n
+        for i in reversed(range(n)):
+            ahead = [downstream[d] for d, _, _ in channels[i] if d is not None]
+            downstream[i] = specs[i].service_time + min(ahead, default=0.0)
+        self._downstream_service = np.asarray(downstream)
         self.queues = [
             ItemQueue(
                 f"q{i}",
@@ -245,17 +338,24 @@ class EnforcedWaitsSimulator:
             for i in range(n)
         ]
         self._shed_counts = np.zeros(n, dtype=np.int64)
-        self.trackers = [
-            OccupancyTracker(node.name, pipeline.vector_width)
-            for node in pipeline.nodes
-        ]
+        self.trackers = [OccupancyTracker(name, v) for name in self.order]
         self.ledger = LatencyLedger(deadline, keep_samples=keep_latency_samples)
+        self.sink_names: tuple[str, ...] = tuple(
+            self.order[i] for i, chans in enumerate(channels)
+            if chans[0][0] is None
+        )
+        # One sink scores exactly what the global ledger scores, so it
+        # shares that object instead of recording every exit twice.
+        self.sink_ledgers: dict[str, LatencyLedger] = (
+            {self.sink_names[0]: self.ledger}
+            if len(self.sink_names) == 1
+            else {
+                name: LatencyLedger(deadline, keep_samples=keep_latency_samples)
+                for name in self.sink_names
+            }
+        )
         self.collector = (
-            TelemetryCollector(
-                [node.name for node in pipeline.nodes], pipeline.vector_width
-            )
-            if telemetry
-            else None
+            TelemetryCollector(list(self.order), v) if telemetry else None
         )
 
         if timing == "idealized":
@@ -284,18 +384,25 @@ class EnforcedWaitsSimulator:
 
         # Hot-path per-node state, hoisted out of _fire/_complete: plain
         # Python floats (numpy scalar indexing per event is measurably
-        # slower), the gain objects, pre-seeded RNG streams (stream
+        # slower), the channel tables, pre-seeded RNG streams (stream
         # identity depends only on (seed, name), so creation order is
         # irrelevant).  The reusable firing closures reference the
         # simulator, so _schedule_initial_firings builds them: a run that
         # never enters the event loop holds no reference cycle and is
         # freed as soon as it is dropped.
-        self._service_f = [float(node.service_time) for node in pipeline.nodes]
+        self._service_f = [float(node.service_time) for node in specs]
         self._waits_f = [float(w) for w in waits]
-        self._gain_of = [node.gain for node in pipeline.nodes]
-        self._rng_of = [self.rng.stream(f"node{i}.gain") for i in range(n)]
-        self._v = int(pipeline.vector_width)
+        self._channels = channels
+        self._rng_of = {
+            stream: self.rng.stream(stream)
+            for chans in channels
+            for _, _, stream in chans
+        }
+        self._v = int(v)
         self._n_nodes = n
+        # Completions rank by their node's topological index (the
+        # deterministic fan-in order); firing starts rank after all.
+        self._prio_fire = n
 
     def _make_slack_fn(self, i: int):
         """Remaining-slack estimator for node ``i``'s queue (deadline-aware).
@@ -333,7 +440,7 @@ class EnforcedWaitsSimulator:
             self.collector.on_shed(i, now, k, len(self.queues[i]))
         if self.trace is not None:
             self.trace.record(
-                now, "shed", self.pipeline.nodes[i].name, dropped=k
+                now, "shed", self.order[i], dropped=k
             )
         self._maybe_shutdown()
 
@@ -348,7 +455,7 @@ class EnforcedWaitsSimulator:
     def _drain_arrivals(self, now: float) -> None:
         """Enqueue every arrival with timestamp <= ``now`` (chunked).
 
-        Called from the head node's firing handler before it pops, i.e.
+        Called from the source node's firing handler before it pops, i.e.
         at the first point the arrivals become observable.  Telemetry and
         trace observations are replayed per item with the original
         arrival timestamps, so observers see the same statistics as under
@@ -408,7 +515,7 @@ class EnforcedWaitsSimulator:
             if release > now:
                 # Stalled: defer this firing to the stall's end.
                 self.engine.schedule(
-                    release, self._fire_fns[i], priority=_PRIO_FIRE
+                    release, self._fire_fns[i], priority=self._prio_fire
                 )
                 return
         if i == 0:
@@ -421,7 +528,7 @@ class EnforcedWaitsSimulator:
         if self.collector is not None:
             self.collector.on_fire(i, now, int(consumed), len(self.queues[i]))
         if self.trace is not None:
-            self.trace.record(now, "fire", self.pipeline.nodes[i].name,
+            self.trace.record(now, "fire", self.order[i],
                               consumed=int(consumed))
 
         if self._timing.static:
@@ -429,7 +536,7 @@ class EnforcedWaitsSimulator:
                 self.engine.schedule(
                     now + t_i,
                     partial(self._complete, i, ids, now),
-                    priority=_PRIO_COMPLETE,
+                    priority=i,
                 )
             else:
                 # An empty firing's completion mutates no queue, so its
@@ -455,7 +562,7 @@ class EnforcedWaitsSimulator:
                 self.engine.schedule(
                     done + self._wait_after(i),
                     self._fire_fns[i],
-                    priority=_PRIO_FIRE,
+                    priority=self._prio_fire,
                 )
         else:
             self._drain_gps(now)
@@ -476,38 +583,45 @@ class EnforcedWaitsSimulator:
         if self.collector is not None:
             self.collector.on_complete(i, now, now - start)
         if consumed:
-            counts = self._gain_of[i].sample(self._rng_of[i], consumed)
-            outputs = np.repeat(ids, counts)
-            if i + 1 < self._n_nodes:
-                dropped = self.queues[i + 1].push_many(outputs, now=now)
-                self._in_flight += int(outputs.size) - int(consumed)
+            produced = 0
+            exited = None
+            for dst, gain, stream in self._channels[i]:
+                outputs = np.repeat(
+                    ids, gain.sample(self._rng_of[stream], consumed)
+                )
+                produced += int(outputs.size)
+                if dst is None:
+                    exited = outputs
+                    origins = self._times[outputs]
+                    self.ledger.record_exits(origins, now, ids=outputs)
+                    sink = self.sink_ledgers[self.order[i]]
+                    if sink is not self.ledger:
+                        sink.record_exits(origins, now, ids=outputs)
+                    continue
+                q = self.queues[dst]
+                dropped = q.push_many(outputs, now=now)
+                self._in_flight += int(outputs.size)
                 if self.collector is not None:
                     self.collector.on_enqueue(
-                        i + 1, now, int(outputs.size), len(self.queues[i + 1])
+                        dst, now, int(outputs.size), len(q)
                     )
                 if dropped is not None and dropped.size:
-                    self._on_shed(i + 1, dropped, now)
-            else:
-                self.ledger.record_exits(self._times[outputs], now, ids=outputs)
-                self._in_flight -= int(consumed)
-                if self._watchdog is not None and outputs.size:
-                    slack = (
-                        float(self._times[outputs].min())
-                        + self.deadline
-                        - now
-                    )
-                    self._watchdog.observe_exit(now, slack, self._in_flight)
+                    self._on_shed(dst, dropped, now)
+            self._in_flight -= int(consumed)
+            if self._watchdog is not None and exited is not None and exited.size:
+                slack = float(self._times[exited].min()) + self.deadline - now
+                self._watchdog.observe_exit(now, slack, self._in_flight)
             if self.trace is not None:
                 self.trace.record(
-                    now, "complete", self.pipeline.nodes[i].name,
-                    consumed=int(consumed), produced=int(outputs.size),
+                    now, "complete", self.order[i],
+                    consumed=int(consumed), produced=produced,
                 )
         # Next firing after the enforced wait.
         if not self._shutdown:
             self.engine.schedule(
                 now + self._wait_after(i),
                 self._fire_fns[i],
-                priority=_PRIO_FIRE,
+                priority=self._prio_fire,
             )
         self._maybe_shutdown()
 
@@ -534,7 +648,7 @@ class EnforcedWaitsSimulator:
         if nxt is not None:
             t_next = max(nxt[0], now)
             self._gps_event = self.engine.schedule(
-                t_next, self._on_gps_event, priority=_PRIO_COMPLETE
+                t_next, self._on_gps_event, priority=0
             )
 
     # -- run ---------------------------------------------------------------------
@@ -558,7 +672,7 @@ class EnforcedWaitsSimulator:
         # to fall back — e.g. under REPRO_BACKEND=python or a watchdog.
         hwm_items = run_enforced_fast(self, self._times)
         if hwm_items is None:
-            # No per-arrival events: the head node's firings drain the
+            # No per-arrival events: the source node's firings drain the
             # arrival array lazily (see module docstring).  Firings
             # self-perpetuate until shutdown, so the drain always happens.
             self._schedule_initial_firings()
@@ -606,11 +720,9 @@ class EnforcedWaitsSimulator:
 
     def _schedule_initial_firings(self) -> None:
         self._fire_fns = [partial(self._fire, i) for i in range(self._n_nodes)]
-        for i in range(self.pipeline.n_nodes):
+        for i, fire in enumerate(self._fire_fns):
             self.engine.schedule(
-                float(self.start_offsets[i]),
-                lambda i=i: self._fire(i),
-                priority=_PRIO_FIRE,
+                float(self.start_offsets[i]), fire, priority=self._prio_fire
             )
 
     def _check_drained(self) -> None:
@@ -624,14 +736,14 @@ class EnforcedWaitsSimulator:
         makespan = max(self._last_activity, float(self._times[-1]))
         if makespan <= 0:
             makespan = float("nan")
-        n = self.pipeline.n_nodes
-        v = self.pipeline.vector_width
-        af = float(np.sum(self._active_time)) / (n * makespan)
-        hwm = hwm_items / v
+        af = float(np.sum(self._active_time)) / (self._n_nodes * makespan)
+        hwm = hwm_items / self._v
         extra = {
             "timing": self._timing_name,
             "charge_empty": self.charge_empty,
             "ledger": self.ledger,
+            "order": self.order,
+            "sinks": dict(self.sink_ledgers),
         }
         degraded_intervals: tuple[tuple[float, float], ...] = ()
         if self._watchdog is not None:

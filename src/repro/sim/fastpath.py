@@ -15,28 +15,39 @@ remaining **bit-identical** to the event loop (and therefore to
   (:func:`repro.des.hotloop.consumed_scan`) over input-availability
   counts obtained by ``searchsorted`` (arrivals/completions at time
   ``t`` outrank a firing at ``t``, matching event priorities);
-- gain draws replay the event loop's generator-call pattern: one batched
-  call for split-composable distributions (equal by composability), a
-  per-firing loop otherwise — on fresh streams derived from the same
-  ``(seed, name)``, so aborting midway never perturbs simulator state;
-- shutdown time is the last consuming completion (when the pipeline's
+- gain draws replay the event loop's generator-call pattern, one
+  channel (out-edge) at a time: one batched call for split-composable
+  distributions (equal by composability), a per-firing loop otherwise —
+  on fresh streams derived from the same ``(seed, name)``, so aborting
+  midway never perturbs simulator state;
+- shutdown time is the last consuming completion (when the graph's
   in-flight count hits zero), counted firings are those strictly before
   it, and ledgers/trackers are fed with batch methods documented (and
   tested) to reproduce the sequential float accumulation.
 
-Bounded queues are the general case.  A node's pushes are the head
-drains at its firing times, or the upstream's consuming completions;
-the pass first probes the unbounded depth at every push.  A queue that
-never exceeds its capacity keeps the closed form.  One that overflows
-gets an exact scalar scan over its push/pop timeline (pushes at ``t``
-land before a firing at ``t``), which counts the tokens each push sheds
-and asks the queue's own :class:`~repro.resilience.shedding.ShedPolicy`
-— through a scratch :class:`~repro.dataflow.queues.ItemQueue` built like
-the simulator's — which tokens go.  Shedding keeps FIFO order, so the
-node then consumes the surviving stream exactly like an unbounded one.
-Arrival bursts are admitted too: the simulator remaps the arrival times
-before this pass runs, and without spikes or stalls the schedule stays
-oblivious.
+Nodes are processed in topological order, and a node's input is the
+merge of its in-edges' output streams.  The event loop's merge order at
+a fan-in queue is total: same-time completions run in topological
+order of the completing node, so pushes are ordered by (time,
+predecessor index).  A per-edge output stream is nondecreasing in time,
+so concatenating the streams in predecessor order and stable-sorting by
+time reproduces the queue order exactly; with one in-edge (a chain) the
+merge is the identity.  The same stable merge orders the global latency
+ledger across sinks.
+
+Bounded queues are the general case.  A node's pushes are the source
+drains at its firing times, or the merged consuming completions of its
+predecessors; the pass first probes the unbounded depth at every push.
+A queue that never exceeds its capacity keeps the closed form.  One
+that overflows gets an exact scalar scan over its push/pop timeline
+(pushes at ``t`` land before a firing at ``t``), which counts the tokens
+each push sheds and asks the queue's own
+:class:`~repro.resilience.shedding.ShedPolicy` — through a scratch
+:class:`~repro.dataflow.queues.ItemQueue` built like the simulator's —
+which tokens go.  Shedding keeps FIFO order, so the node then consumes
+the surviving stream exactly like an unbounded one.  Arrival bursts are
+admitted too: the simulator remaps the arrival times before this pass
+runs, and without spikes or stalls the schedule stays oblivious.
 
 :func:`run_enforced_fast` returns ``None`` whenever the run is not
 eligible (GPS timing, telemetry, tracing, service spikes, stalls, the
@@ -58,7 +69,7 @@ from repro.des.hotloop import consumed_scan, firing_schedule
 from repro.des.rng import RngRegistry
 from repro.simd.backend import get_backend
 
-__all__ = ["run_dag_fast", "run_enforced_fast"]
+__all__ = ["run_enforced_fast"]
 
 #: Per-node firing-count ceiling: beyond this the schedule arrays would
 #: dominate memory and the event path is no worse.
@@ -210,10 +221,34 @@ def _shed_scan(q, v, push_t, push_idx, pushed_cum, stream, n_fires):
     return avail, survivors[: w + rest], np.concatenate(shed)
 
 
+def _stable_merge(parts):
+    """Concatenate aligned array tuples in part order and stable-sort
+    every column by the first (time): ties keep part order."""
+    if len(parts) == 1:
+        return parts[0]
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(col[order] for col in cols)
+
+
+def _draw_gains(gain, rng, total, per_consuming):
+    """One channel's per-item gain draws in the event loop's call pattern."""
+    if gain.sample_is_composable:
+        return gain.sample(rng, total)
+    # Replay the event loop's exact per-completion call pattern for
+    # distributions whose draws don't compose.
+    draws = np.empty(total, dtype=np.int64)
+    pos = 0
+    for ck in per_consuming.tolist():
+        draws[pos : pos + ck] = gain.sample(rng, ck)
+        pos += ck
+    return draws
+
+
 def run_enforced_fast(sim, times: np.ndarray):
     """Run ``sim`` without its event loop; see the module docstring.
 
-    On success, mutates ``sim``'s trackers, ledger, queue counters,
+    On success, mutates ``sim``'s trackers, ledgers, queue counters,
     shed counts, active-time and last-activity state exactly as the
     event loop would have, and returns the per-queue high-water marks
     in items.  Returns ``None`` (with ``sim`` untouched) when ineligible.
@@ -227,14 +262,26 @@ def run_enforced_fast(sim, times: np.ndarray):
     # ones sim's own cached streams would produce, and sim's streams
     # stay pristine for the event path if we abort.
     registry = RngRegistry(sim.rng.seed)
-
-    avail_times = np.ascontiguousarray(times, dtype=np.float64)
-    in_ids = np.arange(sim.n_items, dtype=np.int64)
     empty_i64 = np.empty(0, dtype=np.int64)
     empty_f64 = np.empty(0, dtype=np.float64)
 
+    # Per-node in-edge parts, appended in predecessor order: token
+    # streams (availability times, ids) and push timelines (times,
+    # cumulative tokens).  The source's input is the arrival stream.
+    inputs: list = [[] for _ in range(n)]
+    pushes: list = [[] for _ in range(n)]
+    inputs[0].append(
+        (
+            np.ascontiguousarray(times, dtype=np.float64),
+            np.arange(sim.n_items, dtype=np.int64),
+        )
+    )
+    exits = []  # (sink index, exit times, ids), sinks in topological order
+
     nodes: list[_NodePass] = []
     for i in range(n):
+        avail_times, in_ids = _stable_merge(inputs[i])
+        inputs[i] = None  # free the parts
         t = sim._service_f[i]
         w = sim._waits_f[i]
         off = float(sim.start_offsets[i])
@@ -247,8 +294,14 @@ def run_enforced_fast(sim, times: np.ndarray):
         fires, comps, avail, cum = sched
         if i == 0:
             push_t, pushed_cum = _head_pushes(fires, avail)
+        elif len(pushes[i]) == 1:
+            push_t, pushed_cum = pushes[i][0]
         else:
-            push_t, pushed_cum = pushes
+            push_t, counts = _stable_merge(
+                [(pt, np.diff(pc, prepend=np.int64(0))) for pt, pc in pushes[i]]
+            )
+            pushed_cum = np.cumsum(counts)
+        pushes[i] = None
         push_idx, depths = _push_depths(fires, cum, push_t, pushed_cum)
         hwm = max(0, int(depths.max())) if depths.size else 0
 
@@ -269,30 +322,28 @@ def run_enforced_fast(sim, times: np.ndarray):
             fire_of_item = np.searchsorted(
                 cum, np.arange(total, dtype=np.int64), side="right"
             )
-            gain = sim._gain_of[i]
-            rng = registry.stream(f"node{i}.gain")
-            if gain.sample_is_composable:
-                draws = gain.sample(rng, total)
+            item_done = comps[fire_of_item]
+            done = comps[consuming]
+        for dst, gain, stream in sim._channels[i]:
+            if total:
+                draws = _draw_gains(
+                    gain, registry.stream(stream), total, per_fire[consuming]
+                )
+                out = (np.repeat(item_done, draws), np.repeat(in_ids, draws))
+                # Pushes: (time, cumulative tokens) at each completion
+                # that produces something on this channel.
+                out_cum = np.concatenate(([np.int64(0)], np.cumsum(draws)))
+                produced_cum = out_cum[cum[consuming]]
+                producing = np.diff(produced_cum, prepend=np.int64(0)) > 0
+                push = (done[producing], produced_cum[producing])
             else:
-                # Replay the event loop's exact per-completion call
-                # pattern for distributions whose draws don't compose.
-                draws = np.empty(total, dtype=np.int64)
-                pos = 0
-                for ck in per_fire[consuming].tolist():
-                    draws[pos : pos + ck] = gain.sample(rng, ck)
-                    pos += ck
-            out_ids = np.repeat(in_ids, draws)
-            out_avail = np.repeat(comps[fire_of_item], draws)
-            # Downstream pushes: (time, cumulative tokens) at each
-            # completion that produces something.
-            out_cum = np.concatenate(([np.int64(0)], np.cumsum(draws)))
-            produced_cum = out_cum[cum[consuming]]
-            producing = np.diff(produced_cum, prepend=np.int64(0)) > 0
-            pushes = (comps[consuming][producing], produced_cum[producing])
-        else:
-            out_ids = empty_i64
-            out_avail = empty_f64
-            pushes = (empty_f64, empty_i64)
+                out = (empty_f64, empty_i64)
+                push = (empty_f64, empty_i64)
+            if dst is None:
+                exits.append((i, *out))
+            else:
+                inputs[dst].append(out)
+                pushes[dst].append(push)
         nodes.append(
             _NodePass(
                 fires=fires,
@@ -301,16 +352,14 @@ def run_enforced_fast(sim, times: np.ndarray):
                 n_consuming=int(np.count_nonzero(consuming)),
                 pushed=pushed,
                 total=total,
-                last_done=float(comps[fire_of_item[-1]]) if total else 0.0,
+                last_done=float(item_done[-1]) if total else 0.0,
                 shed=shed,
                 hwm=hwm,
             )
         )
-        avail_times = out_avail
-        in_ids = out_ids
 
     # Shutdown: in-flight hits zero at the last consuming completion
-    # anywhere in the pipeline (items are in flight until they exit or
+    # anywhere in the graph (items are in flight until they exit or
     # their gain draws to zero — both happen at completions; a shed
     # leaves ``capacity >= 1`` tokens queued, so never at a shed).
     tau_end = max(nd.last_done for nd in nodes if nd.total)
@@ -353,9 +402,15 @@ def run_enforced_fast(sim, times: np.ndarray):
         last_activity = max(last_activity, float(comps_c[-1]))
     sim._last_activity = last_activity
 
-    # After the loop the stream is the tail's outputs, in exit order.
-    if in_ids.size:
-        sim.ledger.record_exit_stream(times[in_ids], avail_times, ids=in_ids)
+    # Sink ledgers take their own exit streams; the global ledger takes
+    # their stable merge by (time, sink index), the completion order.
+    for i, exit_t, exit_ids in exits:
+        sink = sim.sink_ledgers[sim.order[i]]
+        if sink is not sim.ledger and exit_ids.size:
+            sink.record_exit_stream(times[exit_ids], exit_t, ids=exit_ids)
+    exit_t, exit_ids = _stable_merge([(t, ids) for _, t, ids in exits])
+    if exit_ids.size:
+        sim.ledger.record_exit_stream(times[exit_ids], exit_t, ids=exit_ids)
     # The ledger's drop accounting is order-insensitive (key sets and a
     # count), so one call stands in for the event loop's per-shed calls.
     sim.ledger.record_drops(ids=np.concatenate([nd.shed for nd in nodes]))
@@ -377,250 +432,6 @@ def run_enforced_fast(sim, times: np.ndarray):
         hwm[i] = nd.hwm
 
     # Terminal bookkeeping the event loop would have left behind.
-    sim._cursor = sim.n_items
-    sim._arrivals_done = True
-    sim._in_flight = 0
-    sim._shutdown = True
-    return hwm
-
-
-# -- DAG fast path ----------------------------------------------------------
-#
-# The DAG simulator (repro.sim.dag) keeps the chain's oblivious firing
-# grids; what changes is routing.  Each node's input stream is the merge
-# of its in-edges' output streams, and the event loop's merge order at a
-# fan-in queue is total: pushes are ordered by (time, predecessor topo
-# index) because same-time completions run in topological-priority
-# order.  A per-edge output stream is nondecreasing in time (completions
-# advance monotonically), so concatenating the streams in predecessor
-# topo order and stable-sorting by time reproduces the event loop's
-# queue order exactly.  The same stable merge orders the global latency
-# ledger across sinks.
-
-
-@dataclass
-class _DagPass:
-    """Phase-A results for one DAG node (arrays over its firing grid)."""
-
-    fires: np.ndarray
-    comps: np.ndarray
-    avail: np.ndarray
-    cum: np.ndarray
-    per_fire: np.ndarray
-    consuming: np.ndarray
-    total: int
-    fire_of_item: np.ndarray
-    n_counted: int = field(default=0)
-
-
-def _dag_eligible(sim, times: np.ndarray) -> bool:
-    if not get_backend().fastpath:
-        return False
-    for t, w in zip(sim._service_f, sim._waits_f):
-        if not (t > 0) or not math.isfinite(t + w):
-            return False
-    if times.size and not np.isfinite(float(times[-1])):
-        return False
-    return True
-
-
-def _stable_merge(parts):
-    """Merge ``(times, ids)`` streams by (time, part order), stably."""
-    if not parts:
-        return (
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.int64),
-        )
-    if len(parts) == 1:
-        return parts[0]
-    at = np.concatenate([p[0] for p in parts])
-    ai = np.concatenate([p[1] for p in parts])
-    order = np.argsort(at, kind="stable")
-    return at[order], ai[order]
-
-
-def run_dag_fast(sim, times: np.ndarray):
-    """Run a :class:`~repro.sim.dag.DagEnforcedWaitsSimulator` without
-    its event loop; bit-identical to it when taken (see above).
-
-    Returns the per-queue high-water marks in items, or ``None`` when
-    ineligible (``sim`` untouched).
-    """
-    if not _dag_eligible(sim, times):
-        return None
-    v = sim._v
-    n = sim._n_nodes
-    registry = RngRegistry(sim.rng.seed)
-    empty_i64 = np.empty(0, dtype=np.int64)
-    empty_f64 = np.empty(0, dtype=np.float64)
-
-    # Per-node input streams, appended in predecessor topo order, and
-    # per-queue push events (times, counts) for the high-water marks.
-    inbox: list[list] = [[] for _ in range(n)]
-    inbox[0].append(
-        (
-            np.ascontiguousarray(times, dtype=np.float64),
-            np.arange(sim.n_items, dtype=np.int64),
-        )
-    )
-    queue_pushes: list[list] = [[] for _ in range(n)]
-    exit_streams: list = []  # (sink topo index, out_ids, out_avail)
-
-    nodes: list[_DagPass] = []
-    for i in range(n):
-        avail_times, in_ids = _stable_merge(inbox[i])
-        inbox[i] = None  # free the merged parts
-        t = sim._service_f[i]
-        w = sim._waits_f[i]
-        off = float(sim.start_offsets[i])
-        total = int(avail_times.size)
-        t_last = float(avail_times[-1]) if total else off
-        k_hint = (t_last - off) / (t + w) + total / v + 16
-        sched = _node_schedule(off, t, w, avail_times, v, k_hint)
-        if sched is None:
-            return None
-        fires, comps, avail, cum = sched
-        per_fire = np.diff(cum, prepend=np.int64(0))
-        consuming = per_fire > 0
-        if total:
-            fire_of_item = np.searchsorted(
-                cum, np.arange(total, dtype=np.int64), side="right"
-            )
-            item_done = comps[fire_of_item]
-        else:
-            fire_of_item = empty_i64
-            item_done = empty_f64
-        k_grid = cum.size
-        push_times = comps[:k_grid][consuming]
-        for dst, gain, stream in sim._channels[i]:
-            if total:
-                rng = registry.stream(stream)
-                if gain.sample_is_composable:
-                    draws = gain.sample(rng, total)
-                else:
-                    # Replay the event loop's per-completion call
-                    # pattern on this channel's own stream.
-                    draws = np.empty(total, dtype=np.int64)
-                    pos = 0
-                    for ck in per_fire[consuming].tolist():
-                        draws[pos : pos + ck] = gain.sample(rng, ck)
-                        pos += ck
-                out_ids = np.repeat(in_ids, draws)
-                out_avail = np.repeat(item_done, draws)
-            else:
-                draws = empty_i64
-                out_ids = empty_i64
-                out_avail = empty_f64
-            if dst is not None:
-                inbox[dst].append((out_avail, out_ids))
-                if total:
-                    produced = np.bincount(
-                        fire_of_item, weights=draws, minlength=k_grid
-                    ).astype(np.int64)
-                    queue_pushes[dst].append(
-                        (push_times, produced[consuming])
-                    )
-            else:
-                exit_streams.append((i, out_ids, out_avail))
-        nodes.append(
-            _DagPass(
-                fires=fires,
-                comps=comps,
-                avail=avail,
-                cum=cum,
-                per_fire=per_fire,
-                consuming=consuming,
-                total=total,
-                fire_of_item=fire_of_item,
-            )
-        )
-
-    consuming_nodes = [nd for nd in nodes if nd.total]
-    if not consuming_nodes:
-        return None  # nothing ever flows; let the event loop handle it
-    tau_end = max(
-        float(nd.comps[nd.fire_of_item[-1]]) for nd in consuming_nodes
-    )
-
-    n_events = 0
-    for i, nd in enumerate(nodes):
-        if not _extend_schedule(
-            nd, float(sim.start_offsets[i]), sim._service_f[i],
-            sim._waits_f[i], tau_end,
-        ):
-            return None
-        nd.n_counted = int(np.searchsorted(nd.fires, tau_end, side="left"))
-        n_events += nd.n_counted + 1 + int(np.count_nonzero(nd.consuming))
-    if n_events > sim.max_events:
-        return None
-
-    # -- commit (no aborts below: sim state is mutated from here) ----------
-    last_activity = 0.0
-    for i, nd in enumerate(nodes):
-        n_c = nd.n_counted
-        if n_c == 0:
-            continue
-        k_a = nd.cum.size
-        per_fire_full = np.zeros(n_c, dtype=np.int64)
-        m = min(n_c, k_a)
-        per_fire_full[:m] = nd.per_fire[:m]
-        comps_c = nd.comps[:n_c]
-        charges = comps_c - nd.fires[:n_c]
-        if not sim.charge_empty:
-            charges = np.where(per_fire_full > 0, charges, 0.0)
-        sim.trackers[i].record_firing_batch(per_fire_full, charges)
-        sim._active_time[i] = float(
-            np.cumsum(np.concatenate(([0.0], charges)))[-1]
-        )
-        last_activity = max(last_activity, float(comps_c[-1]))
-    sim._last_activity = last_activity
-
-    # Ledgers: per-sink streams are already in exit order; the global
-    # ledger sees the stable merge across sinks by (time, sink topo
-    # index), matching completion priorities.
-    merged_exits = []
-    for i, out_ids, out_avail in exit_streams:
-        if out_ids.size:
-            sim.sink_ledgers[sim.order[i]].record_exit_stream(
-                times[out_ids], out_avail, ids=out_ids
-            )
-            merged_exits.append((out_avail, out_ids))
-    exits_t, exits_ids = _stable_merge(merged_exits)
-    if exits_ids.size:
-        sim.ledger.record_exit_stream(
-            times[exits_ids], exits_t, ids=exits_ids
-        )
-
-    # Queue high-water marks (items), probed at the event loop's push
-    # points: head pushes at firing-time drains, interior pushes at
-    # upstream consuming completions (merged across in-edges).
-    hwm = np.zeros(n, dtype=np.float64)
-    for i, nd in enumerate(nodes):
-        if i == 0:
-            push_t, pushed_cum = _head_pushes(nd.fires, nd.avail)
-        else:
-            parts = queue_pushes[i]
-            if not parts:
-                continue
-            if len(parts) == 1:
-                push_t, push_c = parts[0]
-            else:
-                pt = np.concatenate([p[0] for p in parts])
-                pc = np.concatenate([p[1] for p in parts])
-                order = np.argsort(pt, kind="stable")
-                push_t, push_c = pt[order], pc[order]
-            pushed_cum = np.cumsum(push_c)
-        if push_t.size:
-            _, depths = _push_depths(nd.fires, nd.cum, push_t, pushed_cum)
-            hwm[i] = max(0, int(depths.max()))
-
-    for i, (q, nd) in enumerate(zip(sim.queues, nodes)):
-        q._pushed += nd.total
-        q._popped += nd.total
-        depth = int(hwm[i])
-        if depth > q._max_depth:
-            q._max_depth = depth
-
     sim._cursor = sim.n_items
     sim._arrivals_done = True
     sim._in_flight = 0

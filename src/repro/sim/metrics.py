@@ -46,7 +46,7 @@ class LatencyLedger:
     """
 
     def __init__(self, deadline: float, *, keep_samples: bool = False) -> None:
-        if deadline <= 0:
+        if not deadline > 0:  # also rejects NaN; inf means no deadline
             raise ValueError(f"deadline must be > 0, got {deadline}")
         self.deadline = deadline
         # Precomputed once; identical to the historical per-call

@@ -152,7 +152,8 @@ def test_monolithic_scan_is_exhaustive(data):
     from repro.core.monolithic import MonolithicProblem
 
     pipeline = _random_pipeline(data.draw)
-    tau0 = data.draw(st.floats(pipeline.per_item_cost * 1.2 + 0.1, 200.0))
+    lo = pipeline.per_item_cost * 1.2 + 0.1
+    tau0 = data.draw(st.floats(lo, max(lo, 200.0)))
     deadline = data.draw(st.floats(1e3, 2e5))
     prob = MonolithicProblem(RealTimeProblem(pipeline, tau0, deadline))
     sol = prob.solve()

@@ -214,6 +214,64 @@ class TestValidation:
         with pytest.raises(SimulationError, match="single-use"):
             sim.run()
 
+    @pytest.mark.parametrize("as_graph", [False, True], ids=["chain", "graph"])
+    def test_nan_deadline_rejected(self, blast, calibrated_b, as_graph):
+        """A NaN deadline used to run and score zero misses."""
+        from repro.dataflow.graph import DataflowGraph
+
+        spec = DataflowGraph.from_pipeline(blast) if as_graph else blast
+        with pytest.raises(SpecError, match="deadline"):
+            EnforcedWaitsSimulator(
+                spec, np.full(4, 50.0), FixedRateArrivals(20.0),
+                float("nan"), 100,
+            )
+
+    def test_infinite_deadline_means_no_deadline(self, tiny_pipeline):
+        m = EnforcedWaitsSimulator(
+            tiny_pipeline, np.zeros(2), FixedRateArrivals(1.0), math.inf, 50
+        ).run()
+        assert m.outputs > 0
+        assert m.missed_items == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_waits_rejected(self, blast, bad):
+        with pytest.raises(SpecError, match="finite"):
+            EnforcedWaitsSimulator(
+                blast, np.asarray([1.0, bad, 1.0, 1.0]),
+                FixedRateArrivals(20.0), 1e5, 10,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_start_offsets_rejected(self, blast, bad):
+        """An inf head offset used to burn the whole event budget before
+        failing; a NaN one failed only inside the engine."""
+        with pytest.raises(SpecError, match="finite"):
+            EnforcedWaitsSimulator(
+                blast, np.zeros(4), FixedRateArrivals(20.0), 1e5, 10,
+                start_offsets=np.asarray([bad, 0.0, 0.0, 0.0]),
+            )
+
+    def test_waits_mapping_with_unknown_node_rejected(self, blast):
+        waits = {node.name: 5.0 for node in blast.nodes}
+        waits["seed_expnad"] = 5.0
+        with pytest.raises(SpecError, match="seed_expnad"):
+            EnforcedWaitsSimulator(
+                blast, waits, FixedRateArrivals(20.0), 1e5, 10
+            )
+
+    def test_waits_mapping_equals_array(self, blast):
+        waits = np.asarray([40.0, 30.0, 20.0, 10.0])
+        by_name = {
+            node.name: w for node, w in zip(blast.nodes, waits.tolist())
+        }
+        kw = dict(arrivals=FixedRateArrivals(20.0), deadline=1e5,
+                  n_items=300, seed=2)
+        m1 = EnforcedWaitsSimulator(blast, by_name, **kw).run()
+        m2 = EnforcedWaitsSimulator(blast, waits, **kw).run()
+        assert m1.outputs == m2.outputs
+        assert m1.mean_latency == m2.mean_latency
+        assert np.array_equal(m1.firings, m2.firings)
+
     def test_bad_deadline_and_items(self, tiny_pipeline):
         with pytest.raises(SpecError):
             EnforcedWaitsSimulator(

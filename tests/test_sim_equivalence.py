@@ -334,11 +334,10 @@ def test_enforced_backend_matrix_bitwise_equivalent(seed, backend):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dag_chain_backend_matrix_bitwise_equivalent(seed, backend):
-    """A chain-shaped DataflowGraph through the DAG simulator must stay
-    bit-identical to the frozen chain reference on every backend —
-    the DAG generalization is an extension, not a model change."""
+    """A chain-shaped DataflowGraph must simulate bit-identically to the
+    frozen chain reference on every backend — a chain is a graph with
+    one path, not a different model."""
     from repro.dataflow.graph import DataflowGraph
-    from repro.sim.dag import DagEnforcedWaitsSimulator
 
     waits = np.asarray([3.0, 2.0, 1.5])
     kw = dict(
@@ -348,21 +347,24 @@ def test_dag_chain_backend_matrix_bitwise_equivalent(seed, backend):
         seed=seed,
     )
     with use_backend(backend) as be:
-        s1 = DagEnforcedWaitsSimulator(
+        s1 = EnforcedWaitsSimulator(
             DataflowGraph.from_pipeline(_pipeline()),
             waits,
             **kw,
         )
         m1 = s1.run()
         assert (s1.engine.events_processed == 0) == be.fastpath
+        s3 = EnforcedWaitsSimulator(_pipeline(), waits, **kw)
+        m3 = s3.run()
     s2 = ReferenceEnforcedSimulator(_pipeline(), waits, **kw)
     _assert_bitwise_equal(s1, s2, m1, s2.run())
+    # The same chain given as a PipelineSpec: same class, same run.
+    _assert_bitwise_equal(s1, s3, m1, m3)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dag_chain_backend_matrix_queue_stats_agree(backend):
     from repro.dataflow.graph import DataflowGraph
-    from repro.sim.dag import DagEnforcedWaitsSimulator
 
     waits = np.asarray([3.0, 2.0, 1.5])
     kw = dict(
@@ -372,7 +374,7 @@ def test_dag_chain_backend_matrix_queue_stats_agree(backend):
         seed=1,
     )
     with use_backend(backend):
-        s1 = DagEnforcedWaitsSimulator(
+        s1 = EnforcedWaitsSimulator(
             DataflowGraph.from_pipeline(_pipeline()), waits, **kw
         )
         s1.run()

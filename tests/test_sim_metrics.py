@@ -55,6 +55,18 @@ class TestLatencyLedger:
         with pytest.raises(ValueError):
             LatencyLedger(0.0)
 
+    def test_nan_deadline_rejected(self):
+        # ``nan <= 0`` is False: a NaN deadline used to score every
+        # exit as on time.
+        with pytest.raises(ValueError, match="deadline"):
+            LatencyLedger(float("nan"))
+
+    def test_infinite_deadline_is_no_deadline(self):
+        led = LatencyLedger(math.inf)
+        led.record_exits(np.asarray([0.0, 1.0]), 1e300, ids=np.arange(2))
+        assert led.outputs == 2
+        assert led.missed_items == 0
+
 
 class TestSimMetrics:
     def _metrics(self, missed=0):
